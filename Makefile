@@ -105,6 +105,8 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelOrdering -fuzztime 60s -run XXX ./internal/sim
 	$(GO) test -fuzz FuzzCodecRoundTrip -fuzztime 60s -run XXX ./internal/codec
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
+	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
+	$(GO) test -fuzz FuzzLayerPDU -fuzztime 60s -run XXX ./internal/protocol
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:
@@ -194,6 +196,6 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
-	@echo "fuzz             bounded kernel + codec + SDL fuzzing"
+	@echo "fuzz             bounded kernel + codec + SDL + wire-receive fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

@@ -33,12 +33,13 @@ const (
 	PrimPing   = "ping"
 )
 
-// Compiled parameter-record schemas, one per primitive.
+// Compiled parameter-record layouts, one per primitive: the bare
+// record a port call or oneway send carries as its arguments.
 var (
-	SchemaOpen   = codec.CompileSchema(PrimOpen, "id", "seq", "urgent", "tags")
-	SchemaOpened = codec.CompileSchema(PrimOpened, "id", "seq")
-	SchemaClose  = codec.CompileSchema(PrimClose, "id")
-	SchemaPing   = codec.CompileSchema(PrimPing)
+	SchemaOpen   = codec.CompileRecord("id", "seq", "urgent", "tags")
+	SchemaOpened = codec.CompileRecord("id", "seq")
+	SchemaClose  = codec.CompileRecord("id")
+	SchemaPing   = codec.CompileRecord()
 )
 
 // Spec reconstructs the validated service specification.
@@ -133,17 +134,13 @@ func Bind(p *middleware.Platform, patterns ...middleware.Pattern) (*svc.Binding,
 }
 
 // Ack is the empty acknowledgement every handled primitive replies
-// with (oneway deliveries elide it on the wire).
+// with: the empty record on the wire (oneway deliveries elide it).
 type Ack struct{}
 
-// EncodeAck marshals an acknowledgement into an empty reply record.
-func EncodeAck(Ack) codec.Record {
-	return codec.Record{}
-}
-
-// DecodeAck unmarshals an acknowledgement reply record.
-func DecodeAck(codec.Record) (Ack, error) {
-	return Ack{}, nil
+// mistyped reports a parameter whose wire value has the wrong type.
+func mistyped(v *codec.MsgView, prim, param, want string) error {
+	got, _ := v.Value(param)
+	return fmt.Errorf("%s: parameter %q: want %s, got %T", prim, param, want, got)
 }
 
 // OpenParams is the typed parameter record of primitive "open" (from-user).
@@ -154,95 +151,67 @@ type OpenParams struct {
 	Tags   []string
 }
 
-// EncodeOpenParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeOpenParams(p OpenParams) codec.Record {
-	f3 := make([]codec.Value, len(p.Tags))
-	for i, v := range p.Tags {
-		f3[i] = v
-	}
-	return codec.Record{
-		"id":     p.Id,
-		"seq":    p.Seq,
-		"urgent": p.Urgent,
-		"tags":   f3,
-	}
-}
-
-// DecodeOpenParams unmarshals a "open" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeOpenParams(r codec.Record) (OpenParams, error) {
-	var p OpenParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("open: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	if v, ok := r["seq"]; ok {
-		switch n := v.(type) {
-		case int64:
-			p.Seq = n
-		case int:
-			p.Seq = int64(n)
-		case int32:
-			p.Seq = int64(n)
-		default:
-			return p, fmt.Errorf("open: parameter %q: want int, got %T", "seq", v)
-		}
-	}
-	if v, ok := r["urgent"]; ok {
-		c, ok := v.(bool)
-		if !ok {
-			return p, fmt.Errorf("open: parameter %q: want bool, got %T", "urgent", v)
-		}
-		p.Urgent = c
-	}
-	if v, ok := r["tags"]; ok {
-		xs, err := codec.ToStringSlice(v)
-		if err != nil {
-			return p, fmt.Errorf("open: parameter %q: %v", "tags", err)
-		}
-		p.Tags = xs
-	}
-	return p, nil
-}
-
-// AppendOpenParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding OpenMessage(p).
+// AppendOpenParams appends p's parameter record to buf through
+// SchemaOpen: the argument record the "open" port or sink carries.
 func AppendOpenParams(buf []byte, p OpenParams) ([]byte, error) {
 	e := SchemaOpen.Encoder(buf)
 	e.Str("id", p.Id)
 	e.Int("seq", p.Seq)
-	{
-		xs := make([]codec.Value, len(p.Tags))
-		for i, v := range p.Tags {
-			xs[i] = v
-		}
-		e.Value("tags", xs)
-	}
+	e.StrList("tags", p.Tags)
 	e.Bool("urgent", p.Urgent)
 	return e.Finish()
 }
 
-// OpenMessage wraps p as the named message the queue and topic planes
-// carry.
-func OpenMessage(p OpenParams) codec.Message {
-	return codec.NewMessage(PrimOpen, EncodeOpenParams(p))
+// DecodeOpenParams reads a "open" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeOpenParams(v codec.MsgView) (OpenParams, error) {
+	var p OpenParams
+	if _, ok := v.Raw("id"); ok {
+		s, ok := v.Str("id")
+		if !ok {
+			return p, mistyped(&v, "open", "id", "string")
+		}
+		p.Id = string(s)
+	}
+	if _, ok := v.Raw("seq"); ok {
+		n, ok := v.Int("seq")
+		if !ok {
+			return p, mistyped(&v, "open", "seq", "int")
+		}
+		p.Seq = n
+	}
+	if _, ok := v.Raw("urgent"); ok {
+		b, ok := v.Bool("urgent")
+		if !ok {
+			return p, mistyped(&v, "open", "urgent", "bool")
+		}
+		p.Urgent = b
+	}
+	if _, ok := v.Raw("tags"); ok {
+		it, ok := v.StrList("tags")
+		if !ok {
+			return p, mistyped(&v, "open", "tags", "list")
+		}
+		p.Tags = make([]string, 0, it.Len())
+		for s, ok := it.Next(); ok; s, ok = it.Next() {
+			p.Tags = append(p.Tags, string(s))
+		}
+	}
+	return p, nil
 }
 
 // NewOpenPort opens a typed RPC port for primitive "open": the user part
 // submits OpenParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewOpenPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[OpenParams, Ack], error) {
-	return svc.NewPort(b, target, PrimOpen, EncodeOpenParams, DecodeAck, opts...)
+	return svc.NewPort[OpenParams, Ack](b, target, PrimOpen, AppendOpenParams, nil, opts...)
 }
 
 // HandleOpen registers the provider-side handler for primitive "open" on
 // export e.
 func HandleOpen(e *svc.Export, h func(OpenParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimOpen, DecodeOpenParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimOpen, DecodeOpenParams, nil, h)
 }
 
 // OpenedParams is the typed parameter record of primitive "opened" (to-user).
@@ -251,43 +220,8 @@ type OpenedParams struct {
 	Seq int64
 }
 
-// EncodeOpenedParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeOpenedParams(p OpenedParams) codec.Record {
-	return codec.Record{
-		"id":  p.Id,
-		"seq": p.Seq,
-	}
-}
-
-// DecodeOpenedParams unmarshals a "opened" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeOpenedParams(r codec.Record) (OpenedParams, error) {
-	var p OpenedParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("opened: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	if v, ok := r["seq"]; ok {
-		switch n := v.(type) {
-		case int64:
-			p.Seq = n
-		case int:
-			p.Seq = int64(n)
-		case int32:
-			p.Seq = int64(n)
-		default:
-			return p, fmt.Errorf("opened: parameter %q: want int, got %T", "seq", v)
-		}
-	}
-	return p, nil
-}
-
-// AppendOpenedParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding OpenedMessage(p).
+// AppendOpenedParams appends p's parameter record to buf through
+// SchemaOpened: the argument record the "opened" port or sink carries.
 func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 	e := SchemaOpened.Encoder(buf)
 	e.Str("id", p.Id)
@@ -295,16 +229,46 @@ func AppendOpenedParams(buf []byte, p OpenedParams) ([]byte, error) {
 	return e.Finish()
 }
 
-// OpenedMessage wraps p as the named message the queue and topic planes
-// carry.
+// DecodeOpenedParams reads a "opened" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeOpenedParams(v codec.MsgView) (OpenedParams, error) {
+	var p OpenedParams
+	if _, ok := v.Raw("id"); ok {
+		s, ok := v.Str("id")
+		if !ok {
+			return p, mistyped(&v, "opened", "id", "string")
+		}
+		p.Id = string(s)
+	}
+	if _, ok := v.Raw("seq"); ok {
+		n, ok := v.Int("seq")
+		if !ok {
+			return p, mistyped(&v, "opened", "seq", "int")
+		}
+		p.Seq = n
+	}
+	return p, nil
+}
+
+// EncodeOpenedParams marshals p into the generic parameter record the
+// topic plane carries.
+func EncodeOpenedParams(p OpenedParams) codec.Record {
+	return codec.Record{
+		"id":  p.Id,
+		"seq": p.Seq,
+	}
+}
+
+// OpenedMessage wraps p as the named message the topic plane carries.
 func OpenedMessage(p OpenedParams) codec.Message {
-	return codec.NewMessage(PrimOpened, EncodeOpenedParams(p))
+	return codec.Message{Name: PrimOpened, Fields: EncodeOpenedParams(p)}
 }
 
 // NewOpenedSink opens a typed oneway sink for primitive "opened": the provider
 // delivers OpenedParams to a user-part object without awaiting a reply.
 func NewOpenedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[OpenedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimOpened, EncodeOpenedParams, opts...)
+	return svc.NewOnewaySink(b, target, PrimOpened, AppendOpenedParams, opts...)
 }
 
 // NewOpenedTopicSink opens a typed publisher of "opened" events on topic.
@@ -316,7 +280,7 @@ func NewOpenedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (*
 // DecodeOpenedView decodes a published "opened" event from the zero-copy
 // delivery plane.
 func DecodeOpenedView(v codec.MsgView) (OpenedParams, error) {
-	fields, ok := v.Record("fields")
+	fields, ok := v.RecordView("fields")
 	if !ok {
 		return OpenedParams{}, fmt.Errorf("opened: event carries no parameter record")
 	}
@@ -333,7 +297,7 @@ func NewOpenedTopicSource(b *svc.Binding, topic string, node middleware.Addr, fn
 // HandleOpened registers the user-part handler for primitive "opened"
 // deliveries on export e.
 func HandleOpened(e *svc.Export, h func(OpenedParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimOpened, DecodeOpenedParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimOpened, DecodeOpenedParams, nil, h)
 }
 
 // CloseParams is the typed parameter record of primitive "close" (from-user).
@@ -341,94 +305,70 @@ type CloseParams struct {
 	Id string
 }
 
-// EncodeCloseParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeCloseParams(p CloseParams) codec.Record {
-	return codec.Record{
-		"id": p.Id,
-	}
-}
-
-// DecodeCloseParams unmarshals a "close" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeCloseParams(r codec.Record) (CloseParams, error) {
-	var p CloseParams
-	if v, ok := r["id"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("close: parameter %q: want string, got %T", "id", v)
-		}
-		p.Id = c
-	}
-	return p, nil
-}
-
-// AppendCloseParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding CloseMessage(p).
+// AppendCloseParams appends p's parameter record to buf through
+// SchemaClose: the argument record the "close" port or sink carries.
 func AppendCloseParams(buf []byte, p CloseParams) ([]byte, error) {
 	e := SchemaClose.Encoder(buf)
 	e.Str("id", p.Id)
 	return e.Finish()
 }
 
-// CloseMessage wraps p as the named message the queue and topic planes
-// carry.
-func CloseMessage(p CloseParams) codec.Message {
-	return codec.NewMessage(PrimClose, EncodeCloseParams(p))
+// DecodeCloseParams reads a "close" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeCloseParams(v codec.MsgView) (CloseParams, error) {
+	var p CloseParams
+	if _, ok := v.Raw("id"); ok {
+		s, ok := v.Str("id")
+		if !ok {
+			return p, mistyped(&v, "close", "id", "string")
+		}
+		p.Id = string(s)
+	}
+	return p, nil
 }
 
 // NewClosePort opens a typed RPC port for primitive "close": the user part
 // submits CloseParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewClosePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[CloseParams, Ack], error) {
-	return svc.NewPort(b, target, PrimClose, EncodeCloseParams, DecodeAck, opts...)
+	return svc.NewPort[CloseParams, Ack](b, target, PrimClose, AppendCloseParams, nil, opts...)
 }
 
 // HandleClose registers the provider-side handler for primitive "close" on
 // export e.
 func HandleClose(e *svc.Export, h func(CloseParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimClose, DecodeCloseParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimClose, DecodeCloseParams, nil, h)
 }
 
 // PingParams is the typed parameter record of primitive "ping" (from-user).
 type PingParams struct{}
 
-// EncodePingParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodePingParams(PingParams) codec.Record {
-	return codec.Record{}
-}
-
-// DecodePingParams unmarshals a "ping" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodePingParams(codec.Record) (PingParams, error) {
-	return PingParams{}, nil
-}
-
-// AppendPingParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding PingMessage(p).
+// AppendPingParams appends p's parameter record to buf through
+// SchemaPing: the argument record the "ping" port or sink carries.
 func AppendPingParams(buf []byte, _ PingParams) ([]byte, error) {
 	e := SchemaPing.Encoder(buf)
 	return e.Finish()
 }
 
-// PingMessage wraps p as the named message the queue and topic planes
-// carry.
-func PingMessage(p PingParams) codec.Message {
-	return codec.NewMessage(PrimPing, EncodePingParams(p))
+// DecodePingParams reads a "ping" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodePingParams(codec.MsgView) (PingParams, error) {
+	return PingParams{}, nil
 }
 
 // NewPingPort opens a typed RPC port for primitive "ping": the user part
 // submits PingParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewPingPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[PingParams, Ack], error) {
-	return svc.NewPort(b, target, PrimPing, EncodePingParams, DecodeAck, opts...)
+	return svc.NewPort[PingParams, Ack](b, target, PrimPing, AppendPingParams, nil, opts...)
 }
 
 // HandlePing registers the provider-side handler for primitive "ping" on
 // export e.
 func HandlePing(e *svc.Export, h func(PingParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimPing, DecodePingParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimPing, DecodePingParams, nil, h)
 }
 
 // Provider is the provider face of the service: one handler per from-user

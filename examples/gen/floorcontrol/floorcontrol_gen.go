@@ -30,11 +30,12 @@ const (
 	PrimFree    = "free"
 )
 
-// Compiled parameter-record schemas, one per primitive.
+// Compiled parameter-record layouts, one per primitive: the bare
+// record a port call or oneway send carries as its arguments.
 var (
-	SchemaRequest = codec.CompileSchema(PrimRequest, "resid")
-	SchemaGranted = codec.CompileSchema(PrimGranted, "resid")
-	SchemaFree    = codec.CompileSchema(PrimFree, "resid")
+	SchemaRequest = codec.CompileRecord("resid")
+	SchemaGranted = codec.CompileRecord("resid")
+	SchemaFree    = codec.CompileRecord("resid")
 )
 
 // Spec reconstructs the validated service specification.
@@ -112,17 +113,13 @@ func Bind(p *middleware.Platform, patterns ...middleware.Pattern) (*svc.Binding,
 }
 
 // Ack is the empty acknowledgement every handled primitive replies
-// with (oneway deliveries elide it on the wire).
+// with: the empty record on the wire (oneway deliveries elide it).
 type Ack struct{}
 
-// EncodeAck marshals an acknowledgement into an empty reply record.
-func EncodeAck(Ack) codec.Record {
-	return codec.Record{}
-}
-
-// DecodeAck unmarshals an acknowledgement reply record.
-func DecodeAck(codec.Record) (Ack, error) {
-	return Ack{}, nil
+// mistyped reports a parameter whose wire value has the wrong type.
+func mistyped(v *codec.MsgView, prim, param, want string) error {
+	got, _ := v.Value(param)
+	return fmt.Errorf("%s: parameter %q: want %s, got %T", prim, param, want, got)
 }
 
 // RequestParams is the typed parameter record of primitive "request" (from-user).
@@ -130,53 +127,40 @@ type RequestParams struct {
 	Resid string
 }
 
-// EncodeRequestParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeRequestParams(p RequestParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeRequestParams unmarshals a "request" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeRequestParams(r codec.Record) (RequestParams, error) {
-	var p RequestParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("request: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendRequestParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding RequestMessage(p).
+// AppendRequestParams appends p's parameter record to buf through
+// SchemaRequest: the argument record the "request" port or sink carries.
 func AppendRequestParams(buf []byte, p RequestParams) ([]byte, error) {
 	e := SchemaRequest.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
-// RequestMessage wraps p as the named message the queue and topic planes
-// carry.
-func RequestMessage(p RequestParams) codec.Message {
-	return codec.NewMessage(PrimRequest, EncodeRequestParams(p))
+// DecodeRequestParams reads a "request" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeRequestParams(v codec.MsgView) (RequestParams, error) {
+	var p RequestParams
+	if _, ok := v.Raw("resid"); ok {
+		s, ok := v.Str("resid")
+		if !ok {
+			return p, mistyped(&v, "request", "resid", "string")
+		}
+		p.Resid = string(s)
+	}
+	return p, nil
 }
 
 // NewRequestPort opens a typed RPC port for primitive "request": the user part
 // submits RequestParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewRequestPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[RequestParams, Ack], error) {
-	return svc.NewPort(b, target, PrimRequest, EncodeRequestParams, DecodeAck, opts...)
+	return svc.NewPort[RequestParams, Ack](b, target, PrimRequest, AppendRequestParams, nil, opts...)
 }
 
 // HandleRequest registers the provider-side handler for primitive "request" on
 // export e.
 func HandleRequest(e *svc.Export, h func(RequestParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimRequest, DecodeRequestParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimRequest, DecodeRequestParams, nil, h)
 }
 
 // GrantedParams is the typed parameter record of primitive "granted" (to-user).
@@ -184,46 +168,46 @@ type GrantedParams struct {
 	Resid string
 }
 
-// EncodeGrantedParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeGrantedParams(p GrantedParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeGrantedParams unmarshals a "granted" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeGrantedParams(r codec.Record) (GrantedParams, error) {
-	var p GrantedParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("granted: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendGrantedParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding GrantedMessage(p).
+// AppendGrantedParams appends p's parameter record to buf through
+// SchemaGranted: the argument record the "granted" port or sink carries.
 func AppendGrantedParams(buf []byte, p GrantedParams) ([]byte, error) {
 	e := SchemaGranted.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
-// GrantedMessage wraps p as the named message the queue and topic planes
-// carry.
+// DecodeGrantedParams reads a "granted" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeGrantedParams(v codec.MsgView) (GrantedParams, error) {
+	var p GrantedParams
+	if _, ok := v.Raw("resid"); ok {
+		s, ok := v.Str("resid")
+		if !ok {
+			return p, mistyped(&v, "granted", "resid", "string")
+		}
+		p.Resid = string(s)
+	}
+	return p, nil
+}
+
+// EncodeGrantedParams marshals p into the generic parameter record the
+// topic plane carries.
+func EncodeGrantedParams(p GrantedParams) codec.Record {
+	return codec.Record{
+		"resid": p.Resid,
+	}
+}
+
+// GrantedMessage wraps p as the named message the topic plane carries.
 func GrantedMessage(p GrantedParams) codec.Message {
-	return codec.NewMessage(PrimGranted, EncodeGrantedParams(p))
+	return codec.Message{Name: PrimGranted, Fields: EncodeGrantedParams(p)}
 }
 
 // NewGrantedSink opens a typed oneway sink for primitive "granted": the provider
 // delivers GrantedParams to a user-part object without awaiting a reply.
 func NewGrantedSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[GrantedParams], error) {
-	return svc.NewOnewaySink(b, target, PrimGranted, EncodeGrantedParams, opts...)
+	return svc.NewOnewaySink(b, target, PrimGranted, AppendGrantedParams, opts...)
 }
 
 // NewGrantedTopicSink opens a typed publisher of "granted" events on topic.
@@ -235,7 +219,7 @@ func NewGrantedTopicSink(b *svc.Binding, topic string, opts ...svc.PortOption) (
 // DecodeGrantedView decodes a published "granted" event from the zero-copy
 // delivery plane.
 func DecodeGrantedView(v codec.MsgView) (GrantedParams, error) {
-	fields, ok := v.Record("fields")
+	fields, ok := v.RecordView("fields")
 	if !ok {
 		return GrantedParams{}, fmt.Errorf("granted: event carries no parameter record")
 	}
@@ -252,7 +236,7 @@ func NewGrantedTopicSource(b *svc.Binding, topic string, node middleware.Addr, f
 // HandleGranted registers the user-part handler for primitive "granted"
 // deliveries on export e.
 func HandleGranted(e *svc.Export, h func(GrantedParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimGranted, DecodeGrantedParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimGranted, DecodeGrantedParams, nil, h)
 }
 
 // FreeParams is the typed parameter record of primitive "free" (from-user).
@@ -260,53 +244,40 @@ type FreeParams struct {
 	Resid string
 }
 
-// EncodeFreeParams marshals p into the generic parameter record the
-// invocation plane carries.
-func EncodeFreeParams(p FreeParams) codec.Record {
-	return codec.Record{
-		"resid": p.Resid,
-	}
-}
-
-// DecodeFreeParams unmarshals a "free" parameter record. Absent parameters
-// decode to zero values; mistyped ones are rejected.
-func DecodeFreeParams(r codec.Record) (FreeParams, error) {
-	var p FreeParams
-	if v, ok := r["resid"]; ok {
-		c, ok := v.(string)
-		if !ok {
-			return p, fmt.Errorf("free: parameter %q: want string, got %T", "resid", v)
-		}
-		p.Resid = c
-	}
-	return p, nil
-}
-
-// AppendFreeParams appends the canonical wire form of p to buf through
-// the compiled schema — byte-identical to encoding FreeMessage(p).
+// AppendFreeParams appends p's parameter record to buf through
+// SchemaFree: the argument record the "free" port or sink carries.
 func AppendFreeParams(buf []byte, p FreeParams) ([]byte, error) {
 	e := SchemaFree.Encoder(buf)
 	e.Str("resid", p.Resid)
 	return e.Finish()
 }
 
-// FreeMessage wraps p as the named message the queue and topic planes
-// carry.
-func FreeMessage(p FreeParams) codec.Message {
-	return codec.NewMessage(PrimFree, EncodeFreeParams(p))
+// DecodeFreeParams reads a "free" parameter record through a zero-copy
+// view, copying strings out of it. Absent parameters decode to zero
+// values; mistyped ones are rejected.
+func DecodeFreeParams(v codec.MsgView) (FreeParams, error) {
+	var p FreeParams
+	if _, ok := v.Raw("resid"); ok {
+		s, ok := v.Str("resid")
+		if !ok {
+			return p, mistyped(&v, "free", "resid", "string")
+		}
+		p.Resid = string(s)
+	}
+	return p, nil
 }
 
 // NewFreePort opens a typed RPC port for primitive "free": the user part
 // submits FreeParams to the provider object and the continuation
 // receives the acknowledgement.
 func NewFreePort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[FreeParams, Ack], error) {
-	return svc.NewPort(b, target, PrimFree, EncodeFreeParams, DecodeAck, opts...)
+	return svc.NewPort[FreeParams, Ack](b, target, PrimFree, AppendFreeParams, nil, opts...)
 }
 
 // HandleFree registers the provider-side handler for primitive "free" on
 // export e.
 func HandleFree(e *svc.Export, h func(FreeParams, func(Ack, error))) error {
-	return svc.HandleOp(e, PrimFree, DecodeFreeParams, EncodeAck, h)
+	return svc.HandleOp(e, PrimFree, DecodeFreeParams, nil, h)
 }
 
 // Provider is the provider face of the service: one handler per from-user

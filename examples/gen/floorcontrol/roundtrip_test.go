@@ -178,30 +178,30 @@ func TestTopicRoundTrip(t *testing.T) {
 }
 
 // TestWireParity pins that the schema fast path emits exactly the bytes
-// of the generic message codec for every primitive.
+// of the generic record codec for every primitive.
 func TestWireParity(t *testing.T) {
-	check := func(name string, fast []byte, fastErr error, msg codec.Message) {
+	check := func(name string, fast []byte, fastErr error, rec codec.Record) {
 		t.Helper()
 		if fastErr != nil {
 			t.Fatalf("%s: append: %v", name, fastErr)
 		}
-		want, err := codec.EncodeMessage(msg)
+		want, err := codec.Append(nil, rec)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
 		if !bytes.Equal(fast, want) {
-			t.Fatalf("%s: schema path and message codec disagree", name)
+			t.Fatalf("%s: schema path and record codec disagree", name)
 		}
 	}
 	req := floorcontrol.RequestParams{Resid: "cam-1"}
 	fast, err := floorcontrol.AppendRequestParams(nil, req)
-	check("request", fast, err, floorcontrol.RequestMessage(req))
+	check("request", fast, err, codec.Record{"resid": req.Resid})
 
 	g := floorcontrol.GrantedParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendGrantedParams(nil, g)
-	check("granted", fast, err, floorcontrol.GrantedMessage(g))
+	check("granted", fast, err, floorcontrol.EncodeGrantedParams(g))
 
 	fr := floorcontrol.FreeParams{Resid: "cam-1"}
 	fast, err = floorcontrol.AppendFreeParams(nil, fr)
-	check("free", fast, err, floorcontrol.FreeMessage(fr))
+	check("free", fast, err, codec.Record{"resid": fr.Resid})
 }

@@ -37,7 +37,7 @@ const codecPkgPath = "repro/internal/codec"
 var legacyCodecFuncs = map[string]string{
 	"Encode":        "encode through a compiled schema (codec.CompileSchema + Encoder), or codec.Append for one-off dynamic values",
 	"Decode":        "read through the zero-copy view plane (codec.ParseMessage / MsgView), or codec.DecodePrefix for streaming callers",
-	"DecodeMessage": "call codec.ParseMessage and read fields through the MsgView, materializing with (MsgView).Message only where needed",
+	"DecodeMessage": "call codec.ParseMessage and read fields through the MsgView, materializing with (MsgView).Fields only where needed",
 }
 
 func runLegacycodec(pass *analysis.Pass) (any, error) {

@@ -14,12 +14,16 @@ import (
 //
 //   - A []byte received through a network.Handler or protocol.Receiver
 //     parameter, a codec.Visitor method (Str/Bytes/Key), or a
-//     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw) aliases a
-//     pooled delivery buffer. It is valid only until the function
-//     returns, so it must not be stored in a struct field or global,
-//     sent on a channel, captured by a goroutine closure, or returned —
-//     retain with an explicit copy (append/copy/string). Check:
-//     poolalias.
+//     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw, the nested
+//     RecordView/StrList views, StrIter.Next) aliases a pooled delivery
+//     buffer; so does every codec.MsgView (or *codec.MsgView) parameter
+//     — the view-taking shapes Entity.FromPeer, Object.Dispatch, the
+//     RPC reply continuation and the svc view-decoders. Each is valid
+//     only until the function returns, so it must not be stored in a
+//     struct field or global, sent on a channel, captured by an
+//     escaping (e.g. scheduled) closure, or returned — retain with an
+//     explicit copy (append/copy/string, or decode into owned values).
+//     Check: poolalias.
 //   - Every codec.GetBuffer result must reach a Release on some path in
 //     the same function, or be handed off (passed, stored, returned,
 //     sent, or captured — APIs that receive a *codec.Buffer take
@@ -44,11 +48,24 @@ const (
 	protocolPath = "repro/internal/protocol"
 )
 
-// msgViewBorrowers are the MsgView accessors documented to return
-// slices aliasing the input buffer (the materializing accessors
-// Record/Value/Message copy and are exempt).
-var msgViewBorrowers = map[string]bool{
-	"Name": true, "Str": true, "Bytes": true, "Raw": true,
+// viewBorrowers are, per codec view type, the accessors documented to
+// return slices or views aliasing the input buffer (the materializing
+// accessors Record/Value/Fields copy and are exempt).
+var viewBorrowers = map[string]map[string]bool{
+	"MsgView": {"Name": true, "Str": true, "Bytes": true, "Raw": true, "RecordView": true, "StrList": true},
+	"StrIter": {"Next": true},
+}
+
+// isViewType reports whether t (or the type it points to) is one of the
+// codec view types that alias their input buffer.
+func isViewType(t types.Type) bool {
+	t = deref(t)
+	for name := range viewBorrowers {
+		if isNamed(t, codecPath, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // visitorBorrowMethods are the codec.Visitor methods whose []byte
@@ -115,13 +132,22 @@ func borrowedParams(sig *types.Signature, name string) map[types.Object]bool {
 	if p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) && isNamed(p.At(0).Type(), networkPath, "Slot") {
 		borrowed[p.At(1)] = true
 	}
+	// View parameters borrow wherever they appear: every function that
+	// is handed a codec view (FromPeer, Dispatch, reply continuations,
+	// view-decoders) receives it for the duration of the call only.
+	for i := 0; i < p.Len(); i++ {
+		if isViewType(p.At(i).Type()) {
+			borrowed[p.At(i)] = true
+		}
+	}
 	return borrowed
 }
 
 // collectViewBorrows adds objects bound to the result of a borrowing
-// MsgView accessor call: `b, ok := view.Str("x")` marks b. Nested
-// function literals are skipped — each literal gets its own analysis
-// visit with its own borrow set.
+// view accessor call: `b, ok := view.Str("x")` or `rec, ok :=
+// view.RecordView("x")` marks the first result. Nested function
+// literals are skipped — each literal gets its own analysis visit with
+// its own borrow set.
 func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[types.Object]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -140,11 +166,11 @@ func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[t
 			return true
 		}
 		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || !msgViewBorrowers[fn.Name()] {
+		if !ok {
 			return true
 		}
 		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil || !isNamed(deref(sig.Recv().Type()), codecPath, "MsgView") {
+		if !ok || sig.Recv() == nil || !viewBorrowerMethod(deref(sig.Recv().Type()), fn.Name()) {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
@@ -156,6 +182,46 @@ func collectViewBorrows(pass *analysis.Pass, body *ast.BlockStmt, borrowed map[t
 	})
 }
 
+// viewBorrowerMethod reports whether method name on receiver type recv
+// is a borrowing codec view accessor.
+func viewBorrowerMethod(recv types.Type, name string) bool {
+	for typ, methods := range viewBorrowers {
+		if methods[name] && isNamed(recv, codecPath, typ) {
+			return true
+		}
+	}
+	return false
+}
+
+// mayAlias reports whether a value of type t can hold a reference into
+// a borrowed buffer: anything reference-shaped (slices, pointers, maps,
+// channels, functions, interfaces, type parameters) or containing such.
+// Strings are immutable copies and scalars carry no reference.
+func mayAlias(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if mayAlias(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	case *types.Array:
+		return mayAlias(u.Elem())
+	case *types.Tuple:
+		for i := 0; i < u.Len(); i++ {
+			if mayAlias(u.At(i).Type()) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
 // checkRetention reports each sink through which a borrowed []byte
 // escapes the function without a copy.
 func checkRetention(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt, borrowed map[types.Object]bool) {
@@ -165,9 +231,24 @@ func checkRetention(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt, bo
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
+			for i := range n.Lhs {
+				var rhs ast.Expr
+				switch {
+				case len(n.Rhs) == len(n.Lhs):
+					rhs = n.Rhs[i]
+				case len(n.Rhs) == 1:
+					// a, b = f(x): judge each target by the result it
+					// receives, so `e.d, err = decode(view)` stores a
+					// decoded value, not the view.
+					rhs = n.Rhs[0]
+					if tup, ok := pass.TypesInfo.TypeOf(rhs).(*types.Tuple); ok && i < tup.Len() && !mayAlias(tup.At(i).Type()) {
+						continue
+					}
+				default:
+					continue
+				}
 				obj, ok := refersToBorrowed(rhs)
-				if !ok || i >= len(n.Lhs) {
+				if !ok {
 					continue
 				}
 				switch lhs := n.Lhs[i].(type) {
@@ -230,9 +311,11 @@ func checkRetention(pass *analysis.Pass, allows *Allows, body *ast.BlockStmt, bo
 
 // findBorrowedRef reports whether expr references a borrowed object
 // outside of a sanctioned copying construct. Occurrences inside
-// append(dst, b...) spread position, copy(dst, b), string(b), and
-// scalar element reads b[i] are copies and do not count; append(dst, b)
-// without the ellipsis stores the slice header itself and does.
+// append(dst, b...) spread position, copy(dst, b), string(b), scalar
+// element reads b[i], and calls whose results cannot hold a reference
+// (v.Uint("x"), a decoder returning a struct of strings and scalars)
+// are copies and do not count; append(dst, b) without the ellipsis
+// stores the slice header itself and does.
 func findBorrowedRef(info *types.Info, expr ast.Expr, borrowed map[types.Object]bool) (types.Object, bool) {
 	var found types.Object
 	var walk func(n ast.Node) bool
@@ -262,6 +345,21 @@ func findBorrowedRef(info *types.Info, expr ast.Expr, borrowed map[types.Object]
 			// string(b) conversion copies.
 			if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
 				if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+					return false
+				}
+			}
+			// A call whose results cannot reference the buffer copies
+			// whatever it read out of it; so do fmt's formatters and
+			// the materializing view accessors (Record/Value/Fields).
+			if tv, ok := info.Types[n]; ok && tv.Type != nil && !mayAlias(tv.Type) {
+				return false
+			}
+			if fn := calleeFunc(info, n); fn != nil {
+				if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+					return false
+				}
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil &&
+					isViewType(sig.Recv().Type()) && !viewBorrowerMethod(deref(sig.Recv().Type()), fn.Name()) {
 					return false
 				}
 			}

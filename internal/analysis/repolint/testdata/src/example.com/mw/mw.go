@@ -5,6 +5,8 @@
 package mw
 
 import (
+	"fmt"
+
 	"repro/internal/codec"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -102,6 +104,76 @@ func (c *collector) Bytes(b []byte) error {
 
 func (c *collector) Key(b []byte) error {
 	c.key = append(c.key[:0], b...)
+	return nil
+}
+
+// --- view-taking signatures: FromPeer, Dispatch, reply continuations
+// and view-decoders receive codec views valid only for the call ---
+
+type entity struct {
+	last   codec.MsgView
+	name   []byte
+	names  [][]byte
+	count  uint64
+	fields map[string]codec.Value
+	d      decoded
+}
+
+func schedule(f func()) { callbacks = append(callbacks, f) }
+
+func (e *entity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	e.last = pdu // want `poolalias: "pdu" .* must not be stored in field "last"`
+	return nil
+}
+
+func (e *entity) Dispatch(op string, args codec.MsgView, reply func([]byte, error)) {
+	schedule(func() {
+		_, _ = args.Uint("n") // want `poolalias: "args" .* must not be captured by an escaping closure`
+	})
+}
+
+func (e *entity) onReply(result codec.MsgView, err error) {
+	b, _ := result.Str("name")
+	e.name = b // want `poolalias: "b" .* must not be stored in field "name"`
+}
+
+func decodeNested(v codec.MsgView) (codec.MsgView, error) {
+	inner, _ := v.RecordView("inner")
+	return inner, nil // want `poolalias: "inner" .* must not be returned`
+}
+
+func (e *entity) token(v *codec.MsgView) {
+	it, _ := v.StrList("available")
+	for s, ok := it.Next(); ok; s, ok = it.Next() {
+		e.names = append(e.names, s) // want `poolalias: "s" .* must not be stored in field "names"`
+	}
+}
+
+type decoded struct {
+	Name string
+	N    uint64
+}
+
+// decode is a clean view-decoder: everything it keeps is copied out.
+func decode(v codec.MsgView) (decoded, error) {
+	name, _ := v.Str("name")
+	n, _ := v.Uint("n")
+	return decoded{Name: string(name), N: n}, nil
+}
+
+// fromPeerCopies keeps only scalars, copies, materialized records and
+// decoded values, reads the view in an immediately-invoked literal, and
+// formats it into an error.
+func (e *entity) fromPeerCopies(src protocol.Addr, pdu codec.MsgView) error {
+	e.count, _ = pdu.Uint("n")
+	s, _ := pdu.Str("name")
+	e.name = append(e.name[:0], s...)
+	e.fields, _ = pdu.Fields()
+	func() { e.count, _ = pdu.Uint("m") }()
+	var err error
+	if e.d, err = decode(pdu); err != nil {
+		return fmt.Errorf("bad %q: %w", pdu.Name(), err)
+	}
 	return nil
 }
 

@@ -27,6 +27,24 @@ func (v *MsgView) Bytes(field string) ([]byte, bool) { return v.raw, true }
 // Raw returns the field's raw encoding, aliasing the input buffer.
 func (v *MsgView) Raw(field string) ([]byte, bool) { return v.raw, true }
 
+// RecordView returns a view over a nested record, aliasing the input.
+func (v *MsgView) RecordView(field string) (MsgView, bool) { return *v, true }
+
+// StrList returns an iterator over a string list, aliasing the input.
+func (v *MsgView) StrList(field string) (StrIter, bool) { return StrIter{}, true }
+
+// Uint returns an unsigned field by value.
+func (v *MsgView) Uint(field string) (uint64, bool) { return 0, true }
+
+// Fields materializes the view's fields (copying).
+func (v *MsgView) Fields() (map[string]Value, error) { return nil, nil }
+
+// StrIter walks a string list in place.
+type StrIter struct{ rest []byte }
+
+// Next returns the next element, aliasing the input buffer.
+func (it *StrIter) Next() ([]byte, bool) { return it.rest, false }
+
 // Value is the dynamically typed value the legacy plane traffics in.
 type Value = any
 

@@ -161,14 +161,22 @@ func TestSequencerEntityRejectsBadPDU(t *testing.T) {
 	if err := e.FromUser(PrimSay, nil); err == nil {
 		t.Fatal("sequencer accepted a service user")
 	}
-	if err := e.FromPeer("x", codec.NewMessage("bogus", nil)); err == nil {
+	wire, err := codec.EncodeMessage(codec.Message{Name: "bogus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bogus, err := codec.ParseMessage(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FromPeer("x", bogus); err == nil {
 		t.Fatal("sequencer accepted bogus PDU")
 	}
 	p := NewParticipantEntity(SequencerAddr)
 	if err := p.FromUser("bogus", nil); err == nil {
 		t.Fatal("participant accepted bogus primitive")
 	}
-	if err := p.FromPeer("x", codec.NewMessage("bogus", nil)); err == nil {
+	if err := p.FromPeer("x", bogus); err == nil {
 		t.Fatal("participant accepted bogus PDU")
 	}
 	_ = k

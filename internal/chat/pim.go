@@ -74,11 +74,11 @@ func (s *sequencerLogic) OnMessage(from mda.ComponentID, msg codec.Message) erro
 		return fmt.Errorf("chat: unexpected message %q at sequencer logic", msg.Name)
 	}
 	speaker := strings.TrimPrefix(string(from), "member:")
-	out := codec.NewMessage(pduOrdered, codec.Record{
+	out := codec.Message{Name: pduOrdered, Fields: codec.Record{
 		ParamMsgID:   msg.Fields[ParamMsgID],
 		ParamText:    msg.Fields[ParamText],
 		ParamSpeaker: speaker,
-	})
+	}}
 	for _, m := range s.members {
 		if err := s.ctx.Send(m, out); err != nil {
 			return err
@@ -106,7 +106,7 @@ func (m *memberLogic) FromUser(primitive string, params codec.Record) error {
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
-	return m.ctx.Send(m.sequencer, codec.NewMessage(pduSubmit, params))
+	return m.ctx.Send(m.sequencer, codec.Message{Name: pduSubmit, Fields: params})
 }
 
 // OnMessage implements mda.Component.

@@ -18,6 +18,9 @@ const (
 	pduOrdered = "ordered"
 )
 
+// schemaOrdered is the compiled layout of the sequencer's broadcast.
+var schemaOrdered = codec.CompileSchema(pduOrdered, ParamMsgID, ParamSpeaker, ParamText)
+
 // SequencerEntity is the protocol's central entity: it imposes the total
 // order by broadcasting utterances in arrival order.
 type SequencerEntity struct {
@@ -43,19 +46,34 @@ func (e *SequencerEntity) FromUser(primitive string, _ codec.Record) error {
 	return fmt.Errorf("chat: sequencer has no service user (got %q)", primitive)
 }
 
-// FromPeer implements protocol.Entity. The ordered broadcast is encoded
-// once and fanned out to every member through SendPDUMulti, instead of
-// re-marshalling the same PDU per member.
-func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != pduSubmit {
-		return fmt.Errorf("chat: unexpected PDU %q at sequencer", pdu.Name)
+// FromPeer implements protocol.Entity. The ordered broadcast splices the
+// submitted message id and text out of the incoming PDU verbatim, is
+// encoded once, and fans out to every member through SendPDUMulti,
+// instead of re-marshalling the same PDU per member.
+func (e *SequencerEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduSubmit) {
+		return fmt.Errorf("chat: unexpected PDU %q at sequencer", pdu.Name())
 	}
-	bcast := codec.NewMessage(pduOrdered, codec.Record{
-		ParamMsgID:   pdu.Fields[ParamMsgID],
-		ParamText:    pdu.Fields[ParamText],
-		ParamSpeaker: string(src),
-	})
-	return e.ctx.SendPDUMulti(e.members, bcast)
+	msgID, ok := pdu.Raw(ParamMsgID)
+	if !ok {
+		msgID = codec.RawNil
+	}
+	text, ok := pdu.Raw(ParamText)
+	if !ok {
+		text = codec.RawNil
+	}
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	enc := schemaOrdered.Encoder(buf.B[:0])
+	enc.Raw(ParamMsgID, msgID)
+	enc.Str(ParamSpeaker, string(src))
+	enc.Raw(ParamText, text)
+	data, err := enc.Finish()
+	if err != nil {
+		return err
+	}
+	buf.B = data
+	return e.ctx.SendPDUMulti(e.members, data)
 }
 
 // ParticipantEntity translates between chat primitives and the sequencer
@@ -83,15 +101,28 @@ func (e *ParticipantEntity) FromUser(primitive string, params codec.Record) erro
 	if primitive != PrimSay {
 		return fmt.Errorf("chat: unexpected primitive %q", primitive)
 	}
-	return e.ctx.SendPDU(e.sequencer, codec.NewMessage(pduSubmit, params))
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	data, err := codec.AppendMessage(buf.B[:0], codec.Message{Name: pduSubmit, Fields: params})
+	if err != nil {
+		return err
+	}
+	buf.B = data
+	return e.ctx.SendPDU(e.sequencer, data)
 }
 
-// FromPeer implements protocol.Entity.
-func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != pduOrdered {
-		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name)
+// FromPeer implements protocol.Entity. The delivered utterance crosses
+// the service boundary as a parameter record, so it is materialized
+// here (copied out of the delivery buffer).
+func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs(pduOrdered) {
+		return fmt.Errorf("chat: unexpected PDU %q at participant", pdu.Name())
 	}
-	e.ctx.DeliverToUser(PrimDeliver, pdu.Fields)
+	params, err := pdu.Fields()
+	if err != nil {
+		return err
+	}
+	e.ctx.DeliverToUser(PrimDeliver, params)
 	return nil
 }
 

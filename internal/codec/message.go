@@ -81,7 +81,7 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 // Deprecated: DecodeMessage heap-allocates the field Record on every
 // parse. New code should call ParseMessage, whose MsgView reads fields
 // in place without copying and rejects non-canonical key order; call
-// (MsgView).Message only at the point a materialized Message is truly
+// (MsgView).Fields only at the point a materialized Record is truly
 // needed. Kept for the reflective tooling surface; repolint flags new
 // uses outside internal/codec.
 func DecodeMessage(data []byte) (Message, error) {

@@ -46,12 +46,25 @@ type schemaField struct {
 // on duplicate or empty field names — schemas describe fixed wire shapes
 // and are compiled from literals at init time.
 func CompileSchema(name string, fieldNames ...string) *Schema {
+	header := binary.AppendUvarint([]byte{tagString}, uint64(len(name)))
+	return compile(name, append(header, name...), fieldNames)
+}
+
+// CompileRecord compiles a nameless record layout: the wire form of one
+// bare record value, with no message-name prefix. Its encodings are what
+// nested record fields, RPC argument and result records, and
+// MsgView.RecordView carry — splice one into a message with
+// Encoder.Raw. Field rules are those of CompileSchema.
+func CompileRecord(fieldNames ...string) *Schema {
+	return compile("", nil, fieldNames)
+}
+
+// compile finishes a schema whose header starts with prefix (the encoded
+// message name, or nothing for a bare record).
+func compile(name string, prefix []byte, fieldNames []string) *Schema {
 	sorted := slices.Clone(fieldNames)
 	slices.Sort(sorted)
-	s := &Schema{name: name, fields: make([]schemaField, 0, len(sorted))}
-	s.header = append(s.header, tagString)
-	s.header = binary.AppendUvarint(s.header, uint64(len(name)))
-	s.header = append(s.header, name...)
+	s := &Schema{name: name, header: prefix, fields: make([]schemaField, 0, len(sorted))}
 	s.header = append(s.header, tagRecord)
 	s.header = binary.AppendUvarint(s.header, uint64(len(sorted)))
 	for i, f := range sorted {
@@ -70,11 +83,12 @@ func CompileSchema(name string, fieldNames ...string) *Schema {
 	return s
 }
 
-// Name returns the message name the schema encodes.
+// Name returns the message name the schema encodes ("" for a bare
+// record schema from CompileRecord).
 func (s *Schema) Name() string { return s.name }
 
-// Fields returns the field names in canonical (encoding) order. The
-// slice is shared; callers must not modify it.
+// Fields returns the field names in canonical (encoding) order, as a
+// fresh slice on every call: callers may keep or modify it.
 func (s *Schema) Fields() []string {
 	out := make([]string, len(s.fields))
 	for i, f := range s.fields {
@@ -178,6 +192,22 @@ func (e *Encoder) Str(name, v string) {
 		e.buf = append(e.buf, tagString)
 		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
 		e.buf = append(e.buf, v...)
+	}
+}
+
+// StrList appends a list-of-strings field — the wire shape of
+// StringList(v), read back with MsgView.StrList.
+//
+//repolint:hotpath
+func (e *Encoder) StrList(name string, v []string) {
+	if e.field(name) {
+		e.buf = append(e.buf, tagList)
+		e.buf = binary.AppendUvarint(e.buf, uint64(len(v)))
+		for _, s := range v {
+			e.buf = append(e.buf, tagString)
+			e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
+			e.buf = append(e.buf, s...)
+		}
 	}
 }
 

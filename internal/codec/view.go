@@ -12,17 +12,23 @@ import (
 // a Visitor over any value for callers that need the full structure.
 //
 // ALIASING RULES: every []byte returned by a MsgView accessor (Name, Str,
-// Bytes, Raw) and passed to a Visitor (Str, Bytes, Key) aliases the input
-// buffer. It is valid only until the caller returns control to whoever
-// owns that buffer — for wire messages, until the delivery callback
-// returns (the network recycles delivery buffers). Retain with an
-// explicit copy. Materializing accessors (Record, Message, Value) copy
+// Bytes, Raw, StrIter.Next), every view returned by RecordView or
+// StrList, and every []byte passed to a Visitor (Str, Bytes, Key)
+// aliases the input buffer. It is valid only until the caller returns
+// control to whoever owns that buffer — for wire messages, until the
+// delivery callback returns (the network recycles delivery buffers).
+// Retain with an explicit copy. Materializing accessors (Record, Value, Fields) copy
 // and are safe to retain.
 
 // RawNil is the complete wire encoding of the nil value — the fallback
 // for splicing an absent field into an Encoder with Raw. Callers must
 // not modify it.
 var RawNil = []byte{tagNil}
+
+// RawEmptyRecord is the complete wire encoding of the empty record —
+// the argument or result record of an operation without parameters.
+// Callers must not modify it.
+var RawEmptyRecord = []byte{tagRecord, 0}
 
 // skipValue returns the length of the single value at the front of data
 // without materializing it.
@@ -130,44 +136,70 @@ func ParseMessage(data []byte) (MsgView, error) {
 	if err != nil {
 		return MsgView{}, fmt.Errorf("decode message name: %w", err)
 	}
-	rest := data[1+n:]
-	if len(rest) == 0 || rest[0] != tagRecord {
-		return MsgView{}, fmt.Errorf("decode message %q: fields are not a record: %w", name, errOrTruncated(rest))
+	v, m, err := parseRecord(data[1+n:])
+	if err == nil && 1+n+m != len(data) {
+		err = ErrTrailing
 	}
-	count, cn := binary.Uvarint(rest[1:])
+	if err != nil {
+		return MsgView{}, fmt.Errorf("decode message %q: %w", name, err)
+	}
+	v.name = name
+	return v, nil
+}
+
+// ParseRecord validates data as one complete record value — the
+// encoding of a CompileRecord schema, or of Append(buf, Record{...}) —
+// under the same rules as ParseMessage (canonical keys, no trailing
+// bytes) and returns a nameless view over its fields.
+func ParseRecord(data []byte) (MsgView, error) {
+	v, n, err := parseRecord(data)
+	if err == nil && n != len(data) {
+		err = ErrTrailing
+	}
+	if err != nil {
+		return MsgView{}, fmt.Errorf("decode record: %w", err)
+	}
+	return v, nil
+}
+
+// parseRecord validates the record value at the front of data — tag,
+// field count, strictly ascending string keys, well-formed values — and
+// returns a view over its fields plus the bytes consumed.
+func parseRecord(data []byte) (MsgView, int, error) {
+	if len(data) == 0 || data[0] != tagRecord {
+		return MsgView{}, 0, fmt.Errorf("fields are not a record: %w", errOrTruncated(data))
+	}
+	count, cn := binary.Uvarint(data[1:])
 	if cn <= 0 {
-		return MsgView{}, fmt.Errorf("decode message %q fields: %w", name, ErrTruncated)
+		return MsgView{}, 0, fmt.Errorf("fields: %w", ErrTruncated)
 	}
-	if count > uint64(len(rest)) {
-		return MsgView{}, fmt.Errorf("decode message %q fields: %w: record of %d fields in %d bytes",
-			name, ErrSize, count, len(rest))
+	if count > uint64(len(data)) {
+		return MsgView{}, 0, fmt.Errorf("fields: %w: record of %d fields in %d bytes", ErrSize, count, len(data))
 	}
-	pairs := rest[1+cn:]
+	pairs := data[1+cn:]
 	p := pairs
 	var prev []byte
 	for i := uint64(0); i < count; i++ {
 		if len(p) == 0 || p[0] != tagString {
-			return MsgView{}, fmt.Errorf("decode message %q field %d: %w (key must be string)", name, i, ErrBadTag)
+			return MsgView{}, 0, fmt.Errorf("field %d: %w (key must be string)", i, ErrBadTag)
 		}
 		key, kn, err := decodeLenPrefixed(p[1:])
 		if err != nil {
-			return MsgView{}, fmt.Errorf("decode message %q field %d key: %w", name, i, err)
+			return MsgView{}, 0, fmt.Errorf("field %d key: %w", i, err)
 		}
 		if i > 0 && bytes.Compare(prev, key) >= 0 {
-			return MsgView{}, fmt.Errorf("decode message %q: key %q after %q: %w", name, key, prev, ErrNonCanonical)
+			return MsgView{}, 0, fmt.Errorf("key %q after %q: %w", key, prev, ErrNonCanonical)
 		}
 		prev = key
 		p = p[1+kn:]
 		m, err := skipValue(p, 1)
 		if err != nil {
-			return MsgView{}, fmt.Errorf("decode message %q field %q: %w", name, key, err)
+			return MsgView{}, 0, fmt.Errorf("field %q: %w", key, err)
 		}
 		p = p[m:]
 	}
-	if len(p) != 0 {
-		return MsgView{}, fmt.Errorf("decode message %q: %w", name, ErrTrailing)
-	}
-	return MsgView{name: name, pairs: pairs, fields: int(count)}, nil
+	used := len(pairs) - len(p)
+	return MsgView{pairs: pairs[:used], fields: int(count)}, 1 + cn + used, nil
 }
 
 // errOrTruncated distinguishes "nothing there" from "wrong tag".
@@ -328,6 +360,77 @@ func (v *MsgView) Raw(name string) ([]byte, bool) {
 	return raw, raw != nil
 }
 
+// RecordView returns a view over a nested record field, aliasing the
+// input buffer — the zero-copy counterpart of Record. ok is false when
+// the field is absent, is not a record, or its keys are not in
+// canonical order (which no encoder in this package produces).
+//
+//repolint:hotpath
+func (v *MsgView) RecordView(name string) (MsgView, bool) {
+	raw := v.lookup(name)
+	if len(raw) == 0 || raw[0] != tagRecord {
+		return MsgView{}, false
+	}
+	rec, _, err := parseRecord(raw)
+	return rec, err == nil
+}
+
+// StrList returns an iterator over a list-of-strings field (the wire
+// shape of StringList and Encoder.StrList). ok is false when the field
+// is absent, is not a list, or holds a non-string element.
+//
+//repolint:hotpath
+func (v *MsgView) StrList(name string) (StrIter, bool) {
+	raw := v.lookup(name)
+	if len(raw) == 0 || raw[0] != tagList {
+		return StrIter{}, false
+	}
+	count, n := binary.Uvarint(raw[1:])
+	if n <= 0 {
+		return StrIter{}, false
+	}
+	elems := raw[1+n:]
+	for p, i := elems, uint64(0); i < count; i++ {
+		if len(p) == 0 || p[0] != tagString {
+			return StrIter{}, false
+		}
+		_, m, err := decodeLenPrefixed(p[1:])
+		if err != nil {
+			return StrIter{}, false
+		}
+		p = p[1+m:]
+	}
+	return StrIter{rest: elems, n: int(count)}, true
+}
+
+// StrIter walks the elements of a validated string-list field in place.
+// Every element returned by Next aliases the input buffer (see the
+// package aliasing rules above).
+type StrIter struct {
+	rest []byte
+	n    int
+}
+
+// Len returns the number of elements not yet returned by Next.
+func (it *StrIter) Len() int { return it.n }
+
+// Next returns the next element, or ok=false when the list is exhausted.
+//
+//repolint:hotpath
+func (it *StrIter) Next() ([]byte, bool) {
+	if it.n == 0 {
+		return nil, false
+	}
+	s, m, err := decodeLenPrefixed(it.rest[1:]) // rest[0] == tagString, validated
+	if err != nil {
+		it.n = 0
+		return nil, false
+	}
+	it.rest = it.rest[1+m:]
+	it.n--
+	return s, true
+}
+
 // Record materializes a nested record field as a boxed Record (copying;
 // safe to retain).
 func (v *MsgView) Record(name string) (Record, bool) {
@@ -356,25 +459,39 @@ func (v *MsgView) Value(name string) (Value, bool) {
 	return val, true
 }
 
-// Message materializes the whole view as a boxed Message — the
-// compatibility bridge to APIs that take codec.Message.
-func (v *MsgView) Message() (Message, error) {
+// Fields materializes every field of the view as a boxed Record
+// (copying; safe to retain) — the bridge to code that needs a dynamic
+// parameter record, such as a conformance monitor.
+func (v *MsgView) Fields() (Record, error) {
 	rec := make(Record, v.fields)
 	p := v.pairs
 	for i := 0; i < v.fields; i++ {
 		key, kn, err := decodeLenPrefixed(p[1:])
 		if err != nil {
-			return Message{}, err
+			return nil, err
 		}
 		p = p[1+kn:]
 		val, n, err := decodeValue(p, 1)
 		if err != nil {
-			return Message{}, fmt.Errorf("decode message %q field %q: %w", v.name, key, err)
+			return nil, fmt.Errorf("decode field %q: %w", key, err)
 		}
 		rec[string(key)] = val
 		p = p[n:]
 	}
-	return Message{Name: string(v.name), Fields: rec}, nil
+	return rec, nil
+}
+
+// MessageName returns the name of the encoded message at the front of
+// data, aliasing data, without validating the rest of the message.
+func MessageName(data []byte) ([]byte, error) {
+	if len(data) == 0 || data[0] != tagString {
+		return nil, fmt.Errorf("decode message name: %w", errOrTruncated(data))
+	}
+	name, _, err := decodeLenPrefixed(data[1:])
+	if err != nil {
+		return nil, fmt.Errorf("decode message name: %w", err)
+	}
+	return name, nil
 }
 
 // Visitor receives the structure of a value during DecodeInto, in wire

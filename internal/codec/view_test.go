@@ -394,3 +394,82 @@ func (v *rebuildVisitor) RecordEnd() error {
 	v.keys = v.keys[:len(v.keys)-1]
 	return v.push(*r)
 }
+
+// TestRecordSchemaAndNestedViews pins the bare-record plane: a
+// CompileRecord encoding (string list included) is byte-identical to the
+// generic encoding of the equivalent Record, ParseRecord/RecordView open
+// records in place under the canonical-key rule, StrList walks only
+// all-string lists, and MessageName reads just the name.
+func TestRecordSchemaAndNestedViews(t *testing.T) {
+	sc := CompileRecord("tags", "n", "id")
+	if sc.Name() != "" || !reflect.DeepEqual(sc.Fields(), []string{"id", "n", "tags"}) {
+		t.Fatalf("record schema = %q %v", sc.Name(), sc.Fields())
+	}
+	e := sc.Encoder(nil)
+	e.Str("id", "x")
+	e.Int("n", -2)
+	e.StrList("tags", []string{"a", "bc"})
+	fast, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustEncode(Record{"id": "x", "n": int64(-2), "tags": StringList([]string{"a", "bc"})})
+	if !bytes.Equal(fast, want) {
+		t.Fatalf("record schema % x, generic % x", fast, want)
+	}
+
+	rec, err := ParseRecord(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, ok := rec.StrList("tags")
+	if !ok || it.Len() != 2 {
+		t.Fatalf("StrList = %v, len %d", ok, it.Len())
+	}
+	var got []string
+	for s, ok := it.Next(); ok; s, ok = it.Next() {
+		got = append(got, string(s))
+	}
+	if !reflect.DeepEqual(got, []string{"a", "bc"}) {
+		t.Fatalf("StrList elements %v", got)
+	}
+	if _, err := ParseRecord(append(fast, 0)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("ParseRecord with a trailing byte: %v, want ErrTrailing", err)
+	}
+
+	msg, err := EncodeMessage(Message{Name: "call", Fields: Record{
+		"args":  Record{"k": "v", "z": uint64(3)},
+		"mixed": List{"a", int64(1)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, err := MessageName(msg); err != nil || string(name) != "call" {
+		t.Fatalf("MessageName = %q, %v", name, err)
+	}
+	v := mustParse(t, msg)
+	args, ok := v.RecordView("args")
+	if !ok || args.Len() != 2 {
+		t.Fatalf("RecordView(args) = %v, len %d", ok, args.Len())
+	}
+	if s, ok := args.Str("k"); !ok || string(s) != "v" {
+		t.Fatalf("nested Str = %q, %v", s, ok)
+	}
+	if f, err := args.Fields(); err != nil || !Equal(f, Record{"k": "v", "z": uint64(3)}) {
+		t.Fatalf("nested Fields = %v, %v", f, err)
+	}
+	if _, ok := v.StrList("mixed"); ok {
+		t.Fatal("StrList accepted a list with a non-string element")
+	}
+	if _, ok := v.RecordView("mixed"); ok {
+		t.Fatal("RecordView accepted a list")
+	}
+	// A nested record whose keys are out of canonical order (no encoder
+	// produces one) is not viewable.
+	bad := []byte{tagString, 1, 'm', tagRecord, 1, tagString, 1, 'r',
+		tagRecord, 2, tagString, 1, 'b', tagNil, tagString, 1, 'a', tagNil}
+	badView := mustParse(t, bad)
+	if _, ok := badView.RecordView("r"); ok {
+		t.Fatal("RecordView accepted non-canonical nested keys")
+	}
+}

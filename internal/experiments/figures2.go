@@ -111,17 +111,16 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 	}
 
 	// The server component: a typed export echoing its argument record.
-	identity := func(r codec.Record) codec.Record { return r }
 	e, err := b.NewExport("server", "node-s")
 	if err != nil {
 		return nil, err
 	}
-	err = svc.HandleOp(e, "echo", nil, identity,
+	err = svc.HandleOp(e, "echo", decodeRecord, appendRecord,
 		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
 	}
-	err = svc.HandleOp(e, "put", nil, identity,
+	err = svc.HandleOp(e, "put", decodeRecord, appendRecord,
 		func(req codec.Record, respond func(codec.Record, error)) { respond(req, nil) })
 	if err != nil {
 		return nil, err
@@ -138,15 +137,15 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 			return nil, err
 		}
 	}
-	echoPort, err := svc.NewPort(b, "server", "echo", identity, func(r codec.Record) (codec.Record, error) { return r, nil })
+	echoPort, err := svc.NewPort(b, "server", "echo", appendRecord, decodeRecord)
 	if err != nil {
 		return nil, err
 	}
-	putSink, err := svc.NewOnewaySink(b, "server", "put", identity)
+	putSink, err := svc.NewOnewaySink(b, "server", "put", appendRecord)
 	if err != nil {
 		return nil, err
 	}
-	newsSink, err := svc.NewTopicSink(b, "news", func(struct{}) codec.Message { return codec.NewMessage("flash", nil) })
+	newsSink, err := svc.NewTopicSink(b, "news", func(struct{}) codec.Message { return codec.Message{Name: "flash"} })
 	if err != nil {
 		return nil, err
 	}
@@ -185,6 +184,13 @@ func Fig3MiddlewareParadigm(seed int64) (*Report, error) {
 		},
 	}, nil
 }
+
+// appendRecord and decodeRecord carry Figure 3's open argument records
+// through typed ports: the generic record encoder and the view's
+// materializing accessor.
+func appendRecord(dst []byte, r codec.Record) ([]byte, error) { return codec.Append(dst, r) }
+
+func decodeRecord(v codec.MsgView) (codec.Record, error) { return v.Fields() }
 
 // Fig8MiddlewareView reproduces Figure 8: the interaction system *provided
 // by the middleware* as a separate object of design. The middleware's

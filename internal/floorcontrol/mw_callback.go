@@ -66,18 +66,19 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 	ctrl := &callbackController{env: env, q: newResourceQueue(env.Resources),
 		grants: make(map[string]*svc.Port[grantArgs, ack], len(env.Subscribers)),
 		home:   ctrlNode, seen: make(seenSeqs), reqSeq: make(map[string]uint64)}
-	if err := ctrl.export(b); err != nil {
+	nm := newNames(env)
+	if err := ctrl.export(b, nm); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
 	s.ctrl = ctrl
 	// The controller-facing ports carry the caller's node per call, so one
 	// shared port per operation serves every subscriber part; only the
 	// grant callback ports differ per subscriber (distinct targets).
-	request, err := svc.NewPort[ctrlArgs, ack](b, "controller", "request_permission", encCtrlArgs, nil)
+	request, err := svc.NewPort[ctrlArgs, ack](b, "controller", "request_permission", appendCtrlArgs, nil)
 	if err != nil {
 		return nil, err
 	}
-	free, err := svc.NewPort[ctrlArgs, ack](b, "controller", "free", encCtrlArgs, nil)
+	free, err := svc.NewPort[ctrlArgs, ack](b, "controller", "free", appendCtrlArgs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -85,10 +86,10 @@ func (s *MWCallback) Build(env *Env) (map[string]AppPart, error) {
 	for _, sub := range env.Subscribers {
 		part := &mwCallbackPart{env: env, sub: sub, pending: make(map[string]pendingGrant),
 			request: request, free: free}
-		if err := part.export(b); err != nil {
+		if err := part.export(b, nm); err != nil {
 			return nil, fmt.Errorf("floorcontrol: register subscriber %q: %w", sub, err)
 		}
-		if ctrl.grants[sub], err = svc.NewPort[grantArgs, ack](b, subObjRef(sub), "grant", encGrantArgs, nil); err != nil {
+		if ctrl.grants[sub], err = svc.NewPort[grantArgs, ack](b, subObjRef(sub), "grant", appendGrantArgs, nil); err != nil {
 			return nil, err
 		}
 		parts[sub] = part
@@ -115,15 +116,15 @@ type callbackController struct {
 }
 
 // export hosts the controller's typed operations at ctrlNode.
-func (c *callbackController) export(b *svc.Binding) error {
+func (c *callbackController) export(b *svc.Binding, nm names) error {
 	e, err := b.NewExport("controller", ctrlNode)
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "request_permission", decCtrlArgs, encAck, c.requestPermission); err != nil {
+	if err := svc.HandleOp(e, "request_permission", nm.decCtrlArgs, nil, c.requestPermission); err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "free", decCtrlArgs, encAck, c.free); err != nil {
+	if err := svc.HandleOp(e, "free", nm.decCtrlArgs, nil, c.free); err != nil {
 		return err
 	}
 	c.exp = e
@@ -255,12 +256,12 @@ type mwCallbackPart struct {
 var _ AppPart = (*mwCallbackPart)(nil)
 
 // export hosts the part's grant callback interface.
-func (p *mwCallbackPart) export(b *svc.Binding) error {
+func (p *mwCallbackPart) export(b *svc.Binding, nm names) error {
 	e, err := b.NewExport(subObjRef(p.sub), middleware.Addr(p.sub))
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "grant", decGrantArgs, encAck, p.onGrant); err != nil {
+	if err := svc.HandleOp(e, "grant", nm.decGrantArgs, nil, p.onGrant); err != nil {
 		return err
 	}
 	return e.Register()

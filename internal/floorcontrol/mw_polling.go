@@ -64,12 +64,14 @@ type availReply struct {
 	Available bool
 }
 
-func encAvailReply(a availReply) codec.Record {
-	return codec.Record{"available": a.Available}
+func appendAvailReply(dst []byte, a availReply) ([]byte, error) {
+	e := recAvail.Encoder(dst)
+	e.Bool("available", a.Available)
+	return e.Finish()
 }
 
-func decAvailReply(r codec.Record) (availReply, error) {
-	avail, _ := r["available"].(bool)
+func decAvailReply(v codec.MsgView) (availReply, error) {
+	avail, _ := v.Bool("available")
 	return availReply{Available: avail}, nil
 }
 
@@ -81,17 +83,17 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 	}
 	ctrl := &pollingController{q: newResourceQueue(env.Resources), home: ctrlNode,
 		seen: make(seenSeqs), holderSeq: make(map[string]uint64, len(env.Resources))}
-	if err := ctrl.export(b); err != nil {
+	if err := ctrl.export(b, newNames(env)); err != nil {
 		return nil, fmt.Errorf("floorcontrol: register controller: %w", err)
 	}
 	s.ctrl = ctrl
 	// One shared port per controller operation: Call carries the polling
 	// subscriber's node, so the parts need no private ports.
-	isAvailable, err := svc.NewPort(b, "controller", "is_available", encCtrlArgs, decAvailReply)
+	isAvailable, err := svc.NewPort(b, "controller", "is_available", appendCtrlArgs, decAvailReply)
 	if err != nil {
 		return nil, err
 	}
-	free, err := svc.NewPort[ctrlArgs, ack](b, "controller", "free", encCtrlArgs, nil)
+	free, err := svc.NewPort[ctrlArgs, ack](b, "controller", "free", appendCtrlArgs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,15 +124,15 @@ type pollingController struct {
 }
 
 // export hosts the controller's typed operations at ctrlNode.
-func (c *pollingController) export(b *svc.Binding) error {
+func (c *pollingController) export(b *svc.Binding, nm names) error {
 	e, err := b.NewExport("controller", ctrlNode)
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "is_available", decCtrlArgs, encAvailReply, c.isAvailable); err != nil {
+	if err := svc.HandleOp(e, "is_available", nm.decCtrlArgs, appendAvailReply, c.isAvailable); err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "free", decCtrlArgs, encAck, c.free); err != nil {
+	if err := svc.HandleOp(e, "free", nm.decCtrlArgs, nil, c.free); err != nil {
 		return err
 	}
 	c.exp = e

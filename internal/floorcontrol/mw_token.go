@@ -1,6 +1,7 @@
 package floorcontrol
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -57,21 +58,38 @@ type tokenArgs struct {
 	Gen uint64
 }
 
-func encTokenArgs(t tokenArgs) codec.Record {
-	r := codec.Record{"available": codec.StringList(t.Available)}
-	if t.Gen != 0 {
-		r["gen"] = int64(t.Gen)
+func appendTokenArgs(dst []byte, t tokenArgs) ([]byte, error) {
+	if t.Gen == 0 {
+		e := recToken.Encoder(dst)
+		e.StrList("available", t.Available)
+		return e.Finish()
 	}
-	return r
+	e := recTokenGen.Encoder(dst)
+	e.StrList("available", t.Available)
+	e.Int("gen", int64(t.Gen))
+	return e.Finish()
 }
 
-func decTokenArgs(r codec.Record) (tokenArgs, error) {
-	avail, err := codec.ToStringSlice(r["available"])
+func (n names) decTokenArgs(v codec.MsgView) (tokenArgs, error) {
+	avail, err := n.strList(&v, "available")
 	if err != nil {
-		return tokenArgs{}, fmt.Errorf("malformed token: %w", err)
+		return tokenArgs{}, err
 	}
-	gen, _ := r["gen"].(int64)
+	gen, _ := v.Int("gen")
 	return tokenArgs{Available: avail, Gen: uint64(gen)}, nil
+}
+
+// strList decodes a token's availability list with interned elements.
+func (n names) strList(v *codec.MsgView, field string) ([]string, error) {
+	it, ok := v.StrList(field)
+	if !ok {
+		return nil, errors.New("floorcontrol: malformed token: availability is not a string list")
+	}
+	out := make([]string, 0, it.Len())
+	for b, ok := it.Next(); ok; b, ok = it.Next() {
+		out = append(out, n.str(b))
+	}
+	return out, nil
 }
 
 // Build implements Solution. The token starts at the first subscriber
@@ -84,11 +102,12 @@ func (s *MWToken) Build(env *Env) (map[string]AppPart, error) {
 	if len(env.Subscribers) == 0 {
 		return nil, fmt.Errorf("floorcontrol: %s requires at least one subscriber", s.Name())
 	}
+	nm := newNames(env)
 	parts := make(map[string]AppPart, len(env.Subscribers))
 	ring := make([]*mwTokenPart, len(env.Subscribers))
 	for i, sub := range env.Subscribers {
 		part := &mwTokenPart{env: env, sub: sub}
-		if err := part.export(b); err != nil {
+		if err := part.export(b, nm); err != nil {
 			return nil, fmt.Errorf("floorcontrol: register subscriber %q: %w", sub, err)
 		}
 		parts[sub] = part
@@ -97,7 +116,7 @@ func (s *MWToken) Build(env *Env) (map[string]AppPart, error) {
 	// The pass ports close the ring once every object is registered.
 	for i, part := range ring {
 		next := env.Subscribers[(i+1)%len(env.Subscribers)]
-		if part.pass, err = svc.NewPort[tokenArgs, ack](b, subObjRef(next), "pass", encTokenArgs, nil); err != nil {
+		if part.pass, err = svc.NewPort[tokenArgs, ack](b, subObjRef(next), "pass", appendTokenArgs, nil); err != nil {
 			return nil, err
 		}
 		part.next = next
@@ -132,12 +151,12 @@ var _ AppPart = (*mwTokenPart)(nil)
 
 // export exposes the pass operation to the previous subscriber in the
 // ring.
-func (p *mwTokenPart) export(b *svc.Binding) error {
+func (p *mwTokenPart) export(b *svc.Binding, nm names) error {
 	e, err := b.NewExport(subObjRef(p.sub), middleware.Addr(p.sub))
 	if err != nil {
 		return err
 	}
-	if err := svc.HandleOp(e, "pass", decTokenArgs, encAck, p.onPass); err != nil {
+	if err := svc.HandleOp(e, "pass", nm.decTokenArgs, nil, p.onPass); err != nil {
 		return err
 	}
 	return e.Register()

@@ -114,7 +114,7 @@ func (c *pimController) OnMessage(from mda.ComponentID, msg codec.Message) error
 }
 
 func (c *pimController) grant(to mda.ComponentID, res string) error {
-	return c.ctx.Send(to, codec.NewMessage("granted", codec.Record{ParamResource: res}))
+	return c.ctx.Send(to, codec.Message{Name: "granted", Fields: codec.Record{ParamResource: res}})
 }
 
 // pimAgent is the per-SAP service logic: it maps service primitives to
@@ -137,9 +137,9 @@ func (a *pimAgent) FromUser(primitive string, params codec.Record) error {
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		return a.ctx.Send(a.controller, codec.NewMessage("request", codec.Record{ParamResource: res}))
+		return a.ctx.Send(a.controller, codec.Message{Name: "request", Fields: codec.Record{ParamResource: res}})
 	case PrimFree:
-		return a.ctx.Send(a.controller, codec.NewMessage("free", codec.Record{ParamResource: res}))
+		return a.ctx.Send(a.controller, codec.Message{Name: "free", Fields: codec.Record{ParamResource: res}})
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}

@@ -46,12 +46,13 @@ func (*ProtoCallback) Scattering(n int) Scattering {
 // Build implements Solution.
 func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		ctrl := &callbackCtrlEntity{q: newResourceQueue(env.Resources)}
+		nm := newNames(env)
+		ctrl := &callbackCtrlEntity{names: nm, q: newResourceQueue(env.Resources)}
 		if err := layer.AddEntity(ctrlNode, ctrl); err != nil {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{controller: ctrlNode}); err != nil {
+			if err := layer.AddEntity(protocol.Addr(sub), &callbackSubEntity{names: nm, controller: ctrlNode}); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
 		}
@@ -62,6 +63,7 @@ func (s *ProtoCallback) Build(env *Env) (map[string]AppPart, error) {
 // callbackSubEntity translates between service primitives and PDUs at one
 // subscriber's access point.
 type callbackSubEntity struct {
+	names      names
 	controller protocol.Addr
 	ctx        *protocol.Context
 }
@@ -79,30 +81,29 @@ func (e *callbackSubEntity) FromUser(primitive string, params codec.Record) erro
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("request",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return sendResSub(e.ctx, e.controller, pduRequest, res)
 	case PrimFree:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("free",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return sendResSub(e.ctx, e.controller, pduFree, res)
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}
 }
 
 // FromPeer implements protocol.Entity.
-func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "granted" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name)
+func (e *callbackSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs("granted") {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at subscriber entity", pdu.Name())
 	}
-	res, _ := pdu.Fields[ParamResource].(string)
-	e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: res})
+	res, _ := pdu.Str(ParamResource)
+	e.ctx.DeliverToUser(PrimGranted, codec.Record{ParamResource: e.names.str(res)})
 	return nil
 }
 
 // callbackCtrlEntity is the controller protocol entity: holder and FIFO
 // queue per resource, granting by PDU.
 type callbackCtrlEntity struct {
-	ctx *protocol.Context
+	names names
+	ctx   *protocol.Context
 
 	mu sync.Mutex
 	q  *resourceQueue
@@ -122,10 +123,11 @@ func (e *callbackCtrlEntity) FromUser(primitive string, _ codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	sub, _ := pdu.Fields["subid"].(string)
-	res, _ := pdu.Fields[ParamResource].(string)
-	switch pdu.Name {
+func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	subB, _ := pdu.Str("subid")
+	resB, _ := pdu.Str(ParamResource)
+	sub, res := e.names.str(subB), e.names.str(resB)
+	switch string(pdu.Name()) {
 	case "request":
 		e.mu.Lock()
 		if !e.q.known(res) {
@@ -153,11 +155,13 @@ func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) erro
 		}
 		return nil
 	default:
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at controller entity from %s", pdu.Name, src)
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at controller entity from %s", pdu.Name(), src)
 	}
 }
 
 func (e *callbackCtrlEntity) grant(sub, res string) error {
-	return e.ctx.SendPDU(protocol.Addr(sub), codec.NewMessage("granted",
-		codec.Record{ParamResource: res}))
+	buf := codec.GetBuffer()
+	enc := pduGranted.Encoder(buf.B[:0])
+	enc.Str(ParamResource, res)
+	return sendPDU(e.ctx, protocol.Addr(sub), buf, &enc)
 }

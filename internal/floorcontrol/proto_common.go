@@ -63,6 +63,40 @@ func (p *serviceAppPart) Release(res string) {
 	}
 }
 
+// Compiled PDU layouts of the three protocol solutions (Figure 6). Field
+// types match the protocol's historical map encodings byte for byte.
+var (
+	pduRequest = codec.CompileSchema("request", ParamResource, "subid")
+	pduFree    = codec.CompileSchema("free", ParamResource, "subid")
+	pduGranted = codec.CompileSchema("granted", ParamResource)
+	pduProbe   = codec.CompileSchema("is_available_req", ParamResource, "subid")
+	pduAvail   = codec.CompileSchema("is_available_resp", "available", ParamResource)
+	pduPass    = codec.CompileSchema("pass", "available")
+)
+
+// sendResSub sends a (resid, subid) PDU of the given layout to dst. The
+// PDU is encoded into a pooled buffer that the lower service copies
+// before SendPDU returns.
+func sendResSub(ctx *protocol.Context, dst protocol.Addr, pdu *codec.Schema, res string) error {
+	buf := codec.GetBuffer()
+	e := pdu.Encoder(buf.B[:0])
+	e.Str(ParamResource, res)
+	e.Str("subid", string(ctx.Self()))
+	return sendPDU(ctx, dst, buf, &e)
+}
+
+// sendPDU completes a PDU encoded into buf and transmits it to dst,
+// recycling buf either way.
+func sendPDU(ctx *protocol.Context, dst protocol.Addr, buf *codec.Buffer, e *codec.Encoder) error {
+	data, err := e.Finish()
+	if err == nil {
+		err = ctx.SendPDU(dst, data)
+		buf.B = data
+	}
+	buf.Release()
+	return err
+}
+
 // buildProtocolSolution is the shared assembly for the three protocol
 // solutions: create the layer, install entities, bind SAPs, wrap the
 // service boundary with conformance observation, and hand every

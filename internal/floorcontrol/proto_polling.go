@@ -48,12 +48,13 @@ func (*ProtoPolling) Scattering(n int) Scattering {
 // Build implements Solution.
 func (s *ProtoPolling) Build(env *Env) (map[string]AppPart, error) {
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
-		ctrl := &pollingCtrlEntity{q: newResourceQueue(env.Resources)}
+		nm := newNames(env)
+		ctrl := &pollingCtrlEntity{names: nm, q: newResourceQueue(env.Resources)}
 		if err := layer.AddEntity(ctrlNode, ctrl); err != nil {
 			return fmt.Errorf("floorcontrol: add controller entity: %w", err)
 		}
 		for _, sub := range env.Subscribers {
-			e := &pollingSubEntity{controller: ctrlNode, interval: env.PollInterval}
+			e := &pollingSubEntity{names: nm, controller: ctrlNode, interval: env.PollInterval}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add subscriber entity %q: %w", sub, err)
 			}
@@ -64,6 +65,7 @@ func (s *ProtoPolling) Build(env *Env) (map[string]AppPart, error) {
 
 // pollingSubEntity polls the controller on the user's behalf.
 type pollingSubEntity struct {
+	names      names
 	controller protocol.Addr
 	interval   time.Duration
 	ctx        *protocol.Context
@@ -91,25 +93,24 @@ func (e *pollingSubEntity) FromUser(primitive string, params codec.Record) error
 		e.mu.Unlock()
 		return e.probe(res)
 	case PrimFree:
-		return e.ctx.SendPDU(e.controller, codec.NewMessage("free",
-			codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+		return sendResSub(e.ctx, e.controller, pduFree, res)
 	default:
 		return fmt.Errorf("floorcontrol: unexpected primitive %q", primitive)
 	}
 }
 
 func (e *pollingSubEntity) probe(res string) error {
-	return e.ctx.SendPDU(e.controller, codec.NewMessage("is_available_req",
-		codec.Record{"subid": string(e.ctx.Self()), ParamResource: res}))
+	return sendResSub(e.ctx, e.controller, pduProbe, res)
 }
 
 // FromPeer implements protocol.Entity.
-func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "is_available_resp" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling subscriber entity", pdu.Name)
+func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs("is_available_resp") {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling subscriber entity", pdu.Name())
 	}
-	res, _ := pdu.Fields[ParamResource].(string)
-	avail, _ := pdu.Fields["available"].(bool)
+	resB, _ := pdu.Str(ParamResource)
+	res := e.names.str(resB)
+	avail, _ := pdu.Bool("available")
 	e.mu.Lock()
 	waiting := e.waiting[res]
 	if avail && waiting {
@@ -137,7 +138,8 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
 // pollingCtrlEntity answers probes test-and-set, mirroring the middleware
 // polling controller.
 type pollingCtrlEntity struct {
-	ctx *protocol.Context
+	names names
+	ctx   *protocol.Context
 
 	mu sync.Mutex
 	q  *resourceQueue
@@ -157,10 +159,11 @@ func (e *pollingCtrlEntity) FromUser(primitive string, _ codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error {
-	sub, _ := pdu.Fields["subid"].(string)
-	res, _ := pdu.Fields[ParamResource].(string)
-	switch pdu.Name {
+func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error {
+	subB, _ := pdu.Str("subid")
+	resB, _ := pdu.Str(ParamResource)
+	sub, res := e.names.str(subB), e.names.str(resB)
+	switch string(pdu.Name()) {
 	case "is_available_req":
 		e.mu.Lock()
 		if !e.q.known(res) {
@@ -169,14 +172,17 @@ func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.Message) error
 		}
 		got := e.q.tryAcquire(sub, res)
 		e.mu.Unlock()
-		return e.ctx.SendPDU(protocol.Addr(sub), codec.NewMessage("is_available_resp",
-			codec.Record{ParamResource: res, "available": got}))
+		buf := codec.GetBuffer()
+		enc := pduAvail.Encoder(buf.B[:0])
+		enc.Bool("available", got)
+		enc.Str(ParamResource, res)
+		return sendPDU(e.ctx, protocol.Addr(sub), buf, &enc)
 	case "free":
 		e.mu.Lock()
 		_, _, err := e.q.release(sub, res)
 		e.mu.Unlock()
 		return err
 	default:
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name, src)
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name(), src)
 	}
 }

@@ -49,10 +49,11 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 		return nil, fmt.Errorf("floorcontrol: %s requires at least one subscriber", s.Name())
 	}
 	return buildProtocolSolution(env, s.Name(), func(layer *protocol.Layer) error {
+		nm := newNames(env)
 		entities := make([]*tokenSubEntity, len(env.Subscribers))
 		for i, sub := range env.Subscribers {
 			next := env.Subscribers[(i+1)%len(env.Subscribers)]
-			e := &tokenSubEntity{next: protocol.Addr(next), hop: env.TokenHopDelay}
+			e := &tokenSubEntity{names: nm, next: protocol.Addr(next), hop: env.TokenHopDelay}
 			if err := layer.AddEntity(protocol.Addr(sub), e); err != nil {
 				return fmt.Errorf("floorcontrol: add token entity %q: %w", sub, err)
 			}
@@ -68,9 +69,10 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 
 // tokenSubEntity is one ring position.
 type tokenSubEntity struct {
-	next protocol.Addr
-	hop  time.Duration
-	ctx  *protocol.Context
+	names names
+	next  protocol.Addr
+	hop   time.Duration
+	ctx   *protocol.Context
 
 	mu        sync.Mutex
 	wantRes   string
@@ -108,13 +110,13 @@ func (e *tokenSubEntity) FromUser(primitive string, params codec.Record) error {
 }
 
 // FromPeer implements protocol.Entity.
-func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.Message) error {
-	if pdu.Name != "pass" {
-		return fmt.Errorf("floorcontrol: unexpected PDU %q at token entity", pdu.Name)
+func (e *tokenSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
+	if !pdu.NameIs("pass") {
+		return fmt.Errorf("floorcontrol: unexpected PDU %q at token entity", pdu.Name())
 	}
-	avail, err := codec.ToStringSlice(pdu.Fields["available"])
+	avail, err := e.names.strList(&pdu, "available")
 	if err != nil {
-		return fmt.Errorf("floorcontrol: malformed token: %w", err)
+		return err
 	}
 	e.onToken(avail)
 	return nil
@@ -142,9 +144,10 @@ func (e *tokenSubEntity) onToken(avail []string) {
 	}
 	forward := append([]string(nil), avail...)
 	e.ctx.Schedule(e.hop, func() {
-		err := e.ctx.SendPDU(e.next, codec.NewMessage("pass",
-			codec.Record{"available": codec.StringList(forward)}))
-		if err != nil {
+		buf := codec.GetBuffer()
+		enc := pduPass.Encoder(buf.B[:0])
+		enc.StrList("available", forward)
+		if err := sendPDU(e.ctx, e.next, buf, &enc); err != nil {
 			panic(fmt.Sprintf("floorcontrol: token pass to %q: %v", e.next, err))
 		}
 	})

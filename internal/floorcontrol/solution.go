@@ -250,19 +250,68 @@ type ctrlArgs struct {
 	Seq uint64
 }
 
-func encCtrlArgs(a ctrlArgs) codec.Record {
-	r := codec.Record{"subid": a.Sub, ParamResource: a.Res}
-	if a.Seq != 0 {
-		r["seq"] = int64(a.Seq)
+// Wire layouts of the middleware solutions' argument and reply records.
+// The churn stamps (seq, gen) travel only when non-zero, so each stamped
+// record has two layouts: fault-free encodings stay byte-identical to
+// the pre-churn records, and every field keeps the wire type of the
+// original map encoding (seq and gen as signed Int, the token as a
+// string list, availability as a Bool).
+var (
+	recCtrl     = codec.CompileRecord(ParamResource, "subid")
+	recCtrlSeq  = codec.CompileRecord(ParamResource, "seq", "subid")
+	recGrant    = codec.CompileRecord(ParamResource)
+	recGrantSeq = codec.CompileRecord(ParamResource, "seq")
+	recToken    = codec.CompileRecord("available")
+	recTokenGen = codec.CompileRecord("available", "gen")
+	recAvail    = codec.CompileRecord("available")
+)
+
+func appendCtrlArgs(dst []byte, a ctrlArgs) ([]byte, error) {
+	if a.Seq == 0 {
+		e := recCtrl.Encoder(dst)
+		e.Str(ParamResource, a.Res)
+		e.Str("subid", a.Sub)
+		return e.Finish()
 	}
-	return r
+	e := recCtrlSeq.Encoder(dst)
+	e.Str(ParamResource, a.Res)
+	e.Int("seq", int64(a.Seq))
+	e.Str("subid", a.Sub)
+	return e.Finish()
 }
 
-func decCtrlArgs(r codec.Record) (ctrlArgs, error) {
-	sub, _ := r["subid"].(string)
-	res, _ := r[ParamResource].(string)
-	seq, _ := r["seq"].(int64)
-	return ctrlArgs{Sub: sub, Res: res, Seq: uint64(seq)}, nil
+func (n names) decCtrlArgs(v codec.MsgView) (ctrlArgs, error) {
+	sub, _ := v.Str("subid")
+	res, _ := v.Str(ParamResource)
+	seq, _ := v.Int("seq")
+	return ctrlArgs{Sub: n.str(sub), Res: n.str(res), Seq: uint64(seq)}, nil
+}
+
+// names interns a deployment's subscriber and resource identifiers, so
+// decoding an identifier off the wire costs a map probe instead of a
+// string allocation: n[string(b)] does not allocate, and only names the
+// deployment does not know are copied. Read-only once built.
+type names map[string]string
+
+func newNames(env *Env) names {
+	n := make(names, len(env.Subscribers)+len(env.Resources)+1)
+	for _, s := range env.Subscribers {
+		n[s] = s
+	}
+	for _, r := range env.Resources {
+		n[r] = r
+	}
+	n[ctrlNode] = ctrlNode
+	return n
+}
+
+// str returns the interned string equal to b (a copy of b for unknown
+// names). The result never aliases b.
+func (n names) str(b []byte) string {
+	if s, ok := n[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 // seenSeqs records which stamped subscriber submissions a controller has
@@ -303,24 +352,28 @@ type grantArgs struct {
 	Seq uint64
 }
 
-func encGrantArgs(a grantArgs) codec.Record {
-	r := codec.Record{ParamResource: a.Res}
-	if a.Seq != 0 {
-		r["seq"] = int64(a.Seq)
+func appendGrantArgs(dst []byte, a grantArgs) ([]byte, error) {
+	if a.Seq == 0 {
+		e := recGrant.Encoder(dst)
+		e.Str(ParamResource, a.Res)
+		return e.Finish()
 	}
-	return r
+	e := recGrantSeq.Encoder(dst)
+	e.Str(ParamResource, a.Res)
+	e.Int("seq", int64(a.Seq))
+	return e.Finish()
 }
 
-func decGrantArgs(r codec.Record) (grantArgs, error) {
-	res, _ := r[ParamResource].(string)
-	seq, _ := r["seq"].(int64)
-	return grantArgs{Res: res, Seq: uint64(seq)}, nil
+func (n names) decGrantArgs(v codec.MsgView) (grantArgs, error) {
+	res, _ := v.Str(ParamResource)
+	seq, _ := v.Int("seq")
+	return grantArgs{Res: n.str(res), Seq: uint64(seq)}, nil
 }
 
-// ack is the empty acknowledgement reply of void operations.
+// ack is the empty acknowledgement reply of void operations. Handlers
+// register a nil encoder for it (the platform replies the empty record)
+// and ports a nil decoder.
 type ack struct{}
-
-func encAck(ack) codec.Record { return codec.Record{} }
 
 // resourceQueue is the controller-side bookkeeping shared by the two
 // asymmetric coordination styles: current holder and FIFO waiters, per

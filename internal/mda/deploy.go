@@ -294,34 +294,67 @@ type wireEnvelope struct {
 	Fields codec.Record
 }
 
-// encEnvelope marshals the envelope into the deliver operation's
-// parameter record (nil payloads travel as empty records, as the legacy
-// envelope did).
-func encEnvelope(e wireEnvelope) codec.Record {
+// message is the abstract directed message the envelope carries (an
+// absent payload arrives as an empty record).
+func (e wireEnvelope) message() codec.Message {
 	fields := e.Fields
 	if fields == nil {
 		fields = codec.Record{}
 	}
-	return codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}
+	return codec.Message{Name: e.Name, Fields: fields}
 }
 
-// decEnvelope unmarshals a deliver parameter record.
-func decEnvelope(r codec.Record) (wireEnvelope, error) {
-	from, _ := r["from"].(string)
-	name, _ := r["name"].(string)
-	fields, _ := r["fields"].(map[string]codec.Value)
-	return wireEnvelope{From: ComponentID(from), Name: name, Fields: fields}, nil
+// recEnvelope is the wire layout of the deliver operation's parameter
+// record. The payload stays a dynamic record — component messages are
+// open-ended by design — so only it goes through the generic encoder.
+var recEnvelope = codec.CompileRecord("fields", "from", "name")
+
+// appendEnvelope appends the envelope as the deliver operation's
+// parameter record (nil payloads travel as empty records, as the legacy
+// envelope did).
+func appendEnvelope(dst []byte, e wireEnvelope) ([]byte, error) {
+	fields := e.Fields
+	if fields == nil {
+		fields = codec.Record{}
+	}
+	enc := recEnvelope.Encoder(dst)
+	enc.Value("fields", fields)
+	enc.Str("from", string(e.From))
+	enc.Str("name", e.Name)
+	return enc.Finish()
+}
+
+// decEnvelope unmarshals a deliver parameter record, copying the payload
+// out of the wire view.
+func decEnvelope(v codec.MsgView) (wireEnvelope, error) {
+	from, _ := v.Str("from")
+	name, _ := v.Str("name")
+	var fields codec.Record
+	if fv, ok := v.RecordView("fields"); ok {
+		var err error
+		if fields, err = fv.Fields(); err != nil {
+			return wireEnvelope{}, err
+		}
+	}
+	return wireEnvelope{From: ComponentID(from), Name: string(name), Fields: fields}, nil
 }
 
 // encQueueEnvelope marshals the envelope as the mda.msg queue message of
 // the async-over-queue adapter.
 func encQueueEnvelope(e wireEnvelope) codec.Message {
-	return codec.NewMessage("mda.msg", encEnvelope(e))
+	fields := e.Fields
+	if fields == nil {
+		fields = codec.Record{}
+	}
+	return codec.Message{Name: "mda.msg", Fields: codec.Record{"from": string(e.From), "name": e.Name, "fields": fields}}
 }
 
 // decQueueEnvelope unmarshals one queued mda.msg.
 func decQueueEnvelope(m codec.Message) (wireEnvelope, error) {
-	return decEnvelope(m.Fields)
+	from, _ := m.Fields["from"].(string)
+	name, _ := m.Fields["name"].(string)
+	fields, _ := m.Fields["fields"].(map[string]codec.Value)
+	return wireEnvelope{From: ComponentID(from), Name: name, Fields: fields}, nil
 }
 
 // registerObjects hosts each component as a typed export exposing the
@@ -337,10 +370,10 @@ func (d *Deployment) registerObjects() error {
 		if err != nil {
 			return fmt.Errorf("mda: register %q: %w", id, err)
 		}
-		err = svc.HandleOp(e, "deliver", decEnvelope, func(struct{}) codec.Record { return codec.Record{} },
+		err = svc.HandleOp(e, "deliver", decEnvelope, nil,
 			func(env wireEnvelope, respond func(struct{}, error)) {
 				respond(struct{}{}, nil)
-				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))
+				d.onDelivered(id, env.From, env.message())
 			})
 		if err != nil {
 			return fmt.Errorf("mda: register %q: %w", id, err)
@@ -367,7 +400,7 @@ func (d *Deployment) subscribeQueues() error {
 		_, err := svc.NewQueueSource(d.ports, queueName(id), d.logic.Placement[id],
 			decQueueEnvelope,
 			func(env wireEnvelope) {
-				d.onDelivered(id, env.From, codec.NewMessage(env.Name, env.Fields))
+				d.onDelivered(id, env.From, env.message())
 			})
 		if err != nil {
 			return fmt.Errorf("mda: subscribe queue for %q: %w", id, err)
@@ -419,7 +452,7 @@ var _ messaging = (*onewayMessaging)(nil)
 func newOnewayMessaging(d *Deployment) (*onewayMessaging, error) {
 	m := &onewayMessaging{d: d, sinks: make(map[ComponentID]*svc.Sink[wireEnvelope], len(d.logic.Components))}
 	for id := range d.logic.Components {
-		sink, err := svc.NewOnewaySink(d.ports, objRef(id), "deliver", encEnvelope)
+		sink, err := svc.NewOnewaySink(d.ports, objRef(id), "deliver", appendEnvelope)
 		if err != nil {
 			return nil, fmt.Errorf("mda: oneway sink for %q: %w", id, err)
 		}
@@ -455,7 +488,7 @@ var _ messaging = (*syncMessaging)(nil)
 func newSyncMessaging(d *Deployment) (*syncMessaging, error) {
 	m := &syncMessaging{d: d, ports: make(map[ComponentID]*svc.Port[wireEnvelope, struct{}], len(d.logic.Components))}
 	for id := range d.logic.Components {
-		port, err := svc.NewPort[wireEnvelope, struct{}](d.ports, objRef(id), "deliver", encEnvelope, nil)
+		port, err := svc.NewPort[wireEnvelope, struct{}](d.ports, objRef(id), "deliver", appendEnvelope, nil)
 		if err != nil {
 			return nil, fmt.Errorf("mda: sync port for %q: %w", id, err)
 		}

@@ -42,7 +42,7 @@ func (p *Platform) NodeDown(node Addr) {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	conts := make([]func(codec.Record, error), 0, len(ids))
+	conts := make([]Continuation, 0, len(ids))
 	for _, cid := range ids {
 		pc := p.pending[cid]
 		pc.timer.Cancel() // zero ref is an inert no-op
@@ -52,7 +52,7 @@ func (p *Platform) NodeDown(node Addr) {
 	p.stats.Unavailables += uint64(len(conts))
 	p.mu.Unlock()
 	for _, cont := range conts {
-		cont(nil, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
+		cont(codec.MsgView{}, fmt.Errorf("%w: %s crashed", ErrUnavailable, node))
 	}
 }
 

@@ -90,23 +90,36 @@ type Addr = protocol.Addr
 // ObjRef names a registered component object, platform-wide.
 type ObjRef string
 
-// Reply delivers the outcome of an RPC dispatch back to the platform. A
-// nil error with a nil result is valid (void operation).
-type Reply func(result codec.Record, err error)
+// Reply delivers the outcome of an RPC dispatch back to the platform.
+// result is the encoded result record — one complete codec record value,
+// as a codec.CompileRecord schema or codec.Append of a Record produces —
+// and is copied onto the wire before Reply returns, so it may live in a
+// pooled buffer. A nil error with a nil result is valid (void operation:
+// the empty record is sent). Call Reply at most once per dispatch.
+type Reply func(result []byte, err error)
 
 // Object is a component's dispatch interface: the platform invokes
-// operations by name. Dispatch may reply asynchronously (it is given the
-// reply continuation), which lets components implement callback-style
-// coordination such as deferred grants.
+// operations by name. args is a zero-copy view over the call's argument
+// record, aliasing the wire buffer: it is valid only until Dispatch
+// returns, so anything kept past the call must be copied out. Dispatch
+// may reply asynchronously (it is given the reply continuation), which
+// lets components implement callback-style coordination such as
+// deferred grants.
 type Object interface {
-	Dispatch(op string, args codec.Record, reply Reply)
+	Dispatch(op string, args codec.MsgView, reply Reply)
 }
 
 // ObjectFunc adapts a function to the Object interface.
-type ObjectFunc func(op string, args codec.Record, reply Reply)
+type ObjectFunc func(op string, args codec.MsgView, reply Reply)
 
 // Dispatch implements Object.
-func (f ObjectFunc) Dispatch(op string, args codec.Record, reply Reply) { f(op, args, reply) }
+func (f ObjectFunc) Dispatch(op string, args codec.MsgView, reply Reply) { f(op, args, reply) }
+
+// Continuation receives the outcome of an RPC at the caller: a view over
+// the reply's result record (aliasing the wire buffer, valid only until
+// the continuation returns) or an error, in which case the view is
+// empty.
+type Continuation func(result codec.MsgView, err error)
 
 // Profile models a concrete middleware platform class: which interaction
 // patterns it offers and its per-interaction overhead. Profiles are what
@@ -222,7 +235,7 @@ type registration struct {
 // restarted incarnation has no client-side call state either, so the
 // reply could never be consumed.
 type pendingCall struct {
-	cont   func(codec.Record, error)
+	cont   Continuation
 	timer  sim.TimerRef // call timeout; zero ref = none armed
 	node   int32        // callee's platform node id
 	caller int32        // caller's platform node id
@@ -317,10 +330,12 @@ type Platform struct {
 
 	pending  map[uint64]pendingCall
 	nextCall uint64
+	opNames  []string // interned operation names (see opNameLocked)
 	queues   map[string]*queueState
 	topics   map[string]*topicState
 
 	freeDeferred *deferredWire
+	freeReplies  *replyCell
 	stats        Stats
 
 	// fed is non-nil when the pub/sub broker is federated into a

@@ -27,7 +27,8 @@ func newPlatform(t testing.TB, profile Profile, lossRate float64) (*sim.Kernel, 
 
 // echoObject replies with its arguments plus a marker.
 func echoObject() Object {
-	return ObjectFunc(func(op string, args codec.Record, reply Reply) {
+	return ObjectFunc(func(op string, argv codec.MsgView, reply Reply) {
+		args := fields(argv)
 		if op != "echo" {
 			reply(nil, fmt.Errorf("%w: %q", ErrUnknownOperation, op))
 			return
@@ -36,7 +37,7 @@ func echoObject() Object {
 		for k, v := range args {
 			out[k] = v
 		}
-		reply(out, nil)
+		reply(rec(out), nil)
 	})
 }
 
@@ -47,7 +48,8 @@ func TestRPCRoundTrip(t *testing.T) {
 	}
 	var result codec.Record
 	var callErr error
-	err := p.Invoke("node-c", "server", "echo", codec.Record{"x": int64(7)}, func(r codec.Record, e error) {
+	err := p.Invoke("node-c", "server", "echo", rec(codec.Record{"x": int64(7)}), func(rv codec.MsgView, e error) {
+		r := fields(rv)
 		result, callErr = r, e
 	})
 	if err != nil {
@@ -74,7 +76,7 @@ func TestRPCRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var callErr error
-	if err := p.Invoke("node-c", "server", "explode", nil, func(_ codec.Record, e error) { callErr = e }); err != nil {
+	if err := p.Invoke("node-c", "server", "explode", nil, func(_ codec.MsgView, e error) { callErr = e }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -98,14 +100,14 @@ func TestRPCDeferredReply(t *testing.T) {
 	// replies work.
 	k, p := newPlatform(t, ProfileCORBALike, 0)
 	var saved Reply
-	deferred := ObjectFunc(func(op string, args codec.Record, reply Reply) {
+	deferred := ObjectFunc(func(op string, _ codec.MsgView, reply Reply) {
 		saved = reply // grant later
 	})
 	if err := p.Register("ctrl", "node-s", deferred); err != nil {
 		t.Fatal(err)
 	}
 	done := false
-	if err := p.Invoke("node-c", "ctrl", "request", nil, func(codec.Record, error) { done = true }); err != nil {
+	if err := p.Invoke("node-c", "ctrl", "request", nil, func(codec.MsgView, error) { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -114,7 +116,7 @@ func TestRPCDeferredReply(t *testing.T) {
 	if done {
 		t.Fatal("reply before controller granted")
 	}
-	saved(codec.Record{"ok": true}, nil)
+	saved(rec(codec.Record{"ok": true}), nil)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +130,11 @@ func TestRPCTimeout(t *testing.T) {
 	profile.CallTimeout = 10 * time.Millisecond
 	k, p := newPlatform(t, profile, 0)
 	// Object that never replies.
-	if err := p.Register("hang", "node-s", ObjectFunc(func(string, codec.Record, Reply) {})); err != nil {
+	if err := p.Register("hang", "node-s", ObjectFunc(func(string, codec.MsgView, Reply) {})); err != nil {
 		t.Fatal(err)
 	}
 	var callErr error
-	if err := p.Invoke("node-c", "hang", "op", nil, func(_ codec.Record, e error) { callErr = e }); err != nil {
+	if err := p.Invoke("node-c", "hang", "op", nil, func(_ codec.MsgView, e error) { callErr = e }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -194,14 +196,15 @@ func TestRegisterErrors(t *testing.T) {
 func TestOneway(t *testing.T) {
 	k, p := newPlatform(t, ProfileJMSLike, 0)
 	var got []string
-	sink := ObjectFunc(func(op string, args codec.Record, _ Reply) {
+	sink := ObjectFunc(func(op string, argv codec.MsgView, _ Reply) {
+		args := fields(argv)
 		got = append(got, fmt.Sprintf("%s:%v", op, args["v"]))
 	})
 	if err := p.Register("sink", "node-s", sink); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := p.InvokeOneway("node-c", "sink", "put", codec.Record{"v": int64(i)}); err != nil {
+		if err := p.InvokeOneway("node-c", "sink", "put", rec(codec.Record{"v": int64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +329,7 @@ func TestRPCOverLossyNetwork(t *testing.T) {
 	}
 	completed := 0
 	for i := 0; i < 20; i++ {
-		err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(r codec.Record, e error) {
+		err := p.Invoke("node-c", "server", "echo", rec(codec.Record{"i": int64(i)}), func(_ codec.MsgView, e error) {
 			if e == nil {
 				completed++
 			}
@@ -351,7 +354,7 @@ func TestDispatchOverheadAddsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var when time.Duration
-	if err := p.Invoke("node-c", "server", "echo", nil, func(codec.Record, error) { when = k.Now() }); err != nil {
+	if err := p.Invoke("node-c", "server", "echo", nil, func(codec.MsgView, error) { when = k.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Run(); err != nil {
@@ -396,7 +399,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		done := false
-		if err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(codec.Record, error) { done = true }); err != nil {
+		if err := p.Invoke("node-c", "server", "echo", rec(codec.Record{"i": int64(i)}), func(codec.MsgView, error) { done = true }); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := k.Run(); err != nil {
@@ -425,7 +428,7 @@ func TestPlatformOverStreamTransport(t *testing.T) {
 	}
 	completed := 0
 	for i := 0; i < 10; i++ {
-		err := p.Invoke("node-c", "server", "echo", codec.Record{"i": int64(i)}, func(r codec.Record, e error) {
+		err := p.Invoke("node-c", "server", "echo", rec(codec.Record{"i": int64(i)}), func(_ codec.MsgView, e error) {
 			if e == nil {
 				completed++
 			}
@@ -440,4 +443,22 @@ func TestPlatformOverStreamTransport(t *testing.T) {
 	if completed != 10 {
 		t.Fatalf("completed %d of 10 over the stream transport", completed)
 	}
+}
+
+// rec encodes a dynamic record as an argument or result record.
+func rec(r codec.Record) []byte {
+	data, err := codec.Append(nil, r)
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// fields materializes a view's fields for assertions.
+func fields(v codec.MsgView) codec.Record {
+	r, err := v.Fields()
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -42,15 +42,25 @@ func (p *Platform) finishSend(buf *codec.Buffer, e *codec.Encoder, from Addr, fr
 // caller's identity is the node it invokes from, matching the paper's
 // remote-invocation component middleware of §4.1.
 //
+// args is the encoded argument record — one complete codec record value,
+// typically appended through a codec.CompileRecord schema into a pooled
+// buffer; nil sends the empty record. It is validated and spliced into
+// the call message verbatim, so the caller may recycle it as soon as
+// Invoke returns.
+//
 // Invoke is asynchronous in virtual time (the simulation has no blocking);
 // cont runs when the reply arrives, or with ErrCallTimeout if the profile
 // sets a timeout that expires first.
-func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record, cont func(codec.Record, error)) error {
+func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont Continuation) error {
 	if !p.profile.Supports(PatternRPC) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternRPC, p.profile.Name)
 	}
+	args, err := checkRecord(args)
+	if err != nil {
+		return fmt.Errorf("middleware: invoke %s.%s: args: %w", target, op, err)
+	}
 	if cont == nil {
-		cont = func(codec.Record, error) {}
+		cont = discardResult
 	}
 	fromID, err := p.ensureRuntime(from)
 	if err != nil {
@@ -77,7 +87,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 		p.stats.Unavailables++
 		p.mu.Unlock()
 		p.scheduleFunc(0, func() {
-			cont(nil, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
+			cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 		})
 		return nil
 	}
@@ -95,7 +105,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 
 	buf := codec.GetBuffer()
 	e := schemaCall.Encoder(buf.B[:0])
-	e.Value("args", args)
+	e.Raw("args", args)
 	e.Uint("id", id)
 	e.Str("op", op)
 	e.Str("target", string(target))
@@ -111,6 +121,26 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args codec.Record
 	return nil
 }
 
+// discardResult is the continuation of calls whose caller passed none.
+func discardResult(codec.MsgView, error) {}
+
+// discardReply is the reply continuation of oneway dispatches.
+func discardReply([]byte, error) {}
+
+// checkRecord validates an encoded argument or result record before it
+// is spliced onto the wire (nil stands for the empty record), so a
+// malformed encoding fails at its source instead of as an undecodable
+// wire message at the peer.
+func checkRecord(rec []byte) ([]byte, error) {
+	if rec == nil {
+		return codec.RawEmptyRecord, nil
+	}
+	if _, err := codec.ParseRecord(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
 func (p *Platform) onCallTimeout(id uint64) {
 	p.mu.Lock()
 	pc, ok := p.pending[id]
@@ -120,15 +150,20 @@ func (p *Platform) onCallTimeout(id uint64) {
 	}
 	p.mu.Unlock()
 	if ok {
-		pc.cont(nil, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
+		pc.cont(codec.MsgView{}, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
 	}
 }
 
 // InvokeOneway performs fire-and-forget message passing to an object's
-// operation: no reply, no delivery confirmation to the caller.
-func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args codec.Record) error {
+// operation: no reply, no delivery confirmation to the caller. args is
+// an encoded argument record, as for Invoke.
+func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte) error {
 	if !p.profile.Supports(PatternOneway) {
 		return fmt.Errorf("%w: %s on %q", ErrPatternUnsupported, PatternOneway, p.profile.Name)
+	}
+	args, err := checkRecord(args)
+	if err != nil {
+		return fmt.Errorf("middleware: invoke %s.%s: args: %w", target, op, err)
 	}
 	fromID, err := p.ensureRuntime(from)
 	if err != nil {
@@ -146,7 +181,7 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args codec.
 	p.mu.Unlock()
 	buf := codec.GetBuffer()
 	e := schemaOneway.Encoder(buf.B[:0])
-	e.Value("args", args)
+	e.Raw("args", args)
 	e.Str("op", op)
 	e.Str("target", string(target))
 	return p.finishSend(buf, &e, from, fromLow, to, toLow)
@@ -410,20 +445,39 @@ func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 }
 
 // lookupLocal finds the object registration for a wire message's target,
-// verifying it is hosted at the receiving node (a dense-id compare). The
-// args record is materialized (copied) here: it crosses into application
-// code via Object.Dispatch and may be retained.
-func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, string, codec.Record, bool) {
+// verifying it is hosted at the receiving node (a dense-id compare).
+// Callers hand the args record to Object.Dispatch as a zero-copy view:
+// the object decodes what it needs before returning.
+func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, string, bool) {
 	target, _ := v.Str("target")
-	op, _ := v.Str("op")
-	args, _ := v.Record("args")
+	opB, _ := v.Str("op")
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	reg, ok := p.objects[ObjRef(target)]
-	p.mu.Unlock()
 	if !ok || reg.nodeID != atID {
-		return nil, "", nil, false
+		return nil, "", false
 	}
-	return reg.obj, string(op), args, true
+	return reg.obj, p.opNameLocked(opB), true
+}
+
+// maxOpNames caps the operation-name intern table. Platforms see a
+// handful of operations; only forged or unbounded names overflow it,
+// and those are copied per call instead.
+const maxOpNames = 64
+
+// opNameLocked returns the operation name op as a string without
+// allocating for names seen before. Caller holds p.mu.
+func (p *Platform) opNameLocked(op []byte) string {
+	for _, s := range p.opNames {
+		if s == string(op) {
+			return s
+		}
+	}
+	s := string(op)
+	if len(p.opNames) < maxOpNames {
+		p.opNames = append(p.opNames, s)
+	}
+	return s
 }
 
 // replyRef resolves where a reply from node atID back to the caller
@@ -434,9 +488,75 @@ func (p *Platform) replyRef(atID int32) (Addr, int32) {
 	return p.nodeAddrs[atID], p.nodeLows[atID]
 }
 
+// replyCell is one dispatched call's pooled reply route: the Reply
+// handed to Object.Dispatch is the cell's method value, built once per
+// pooled cell, so a steady-state dispatch allocates no closure. A cell
+// goes back to the pool only when the object replied before Dispatch
+// returned — then handleCall holds the only reference; a reply that
+// escaped Dispatch keeps its cell out of the pool for good, so the
+// eventual (or any duplicate) call can never hit a re-armed cell.
+type replyCell struct {
+	p       *Platform
+	id      uint64
+	atID    int32
+	srcAddr Addr
+	srcLow  int32
+	armed   bool  // a reply is still owed
+	fn      Reply // = c.reply, built once
+	next    *replyCell
+}
+
+// getReplyCell pops (or creates) a cell armed for one call.
+func (p *Platform) getReplyCell(id uint64, atID int32, srcAddr Addr, srcLow int32) *replyCell {
+	p.mu.Lock()
+	c := p.freeReplies
+	if c != nil {
+		p.freeReplies = c.next
+		c.next = nil
+	}
+	p.mu.Unlock()
+	if c == nil {
+		c = &replyCell{p: p}
+		c.fn = c.reply
+	}
+	c.id, c.atID, c.srcAddr, c.srcLow, c.armed = id, atID, srcAddr, srcLow, true
+	return c
+}
+
+// reply marshals the dispatch outcome back to the caller. Only the first
+// call per dispatch replies; later ones are no-ops.
+func (c *replyCell) reply(result []byte, err error) {
+	if !c.armed {
+		return
+	}
+	c.armed = false
+	p := c.p
+	p.mu.Lock()
+	p.stats.Replies++
+	p.mu.Unlock()
+	if err == nil {
+		if result, err = checkRecord(result); err != nil {
+			err = fmt.Errorf("middleware: malformed result record: %w", err)
+		}
+	}
+	at, atLow := p.replyRef(c.atID)
+	buf := codec.GetBuffer()
+	if err != nil {
+		e := schemaReplyErr.Encoder(buf.B[:0])
+		e.Str("error", err.Error())
+		e.Uint("id", c.id)
+		_ = p.finishSend(buf, &e, at, atLow, c.srcAddr, c.srcLow) //nolint:errcheck
+		return
+	}
+	e := schemaReplyOK.Encoder(buf.B[:0])
+	e.Uint("id", c.id)
+	e.Raw("result", result)
+	_ = p.finishSend(buf, &e, at, atLow, c.srcAddr, c.srcLow) //nolint:errcheck
+}
+
 func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView) {
 	id, _ := v.Uint("id")
-	obj, op, args, ok := p.lookupLocal(atID, v)
+	obj, op, ok := p.lookupLocal(atID, v)
 	if !ok {
 		at, atLow := p.replyRef(atID)
 		buf := codec.GetBuffer()
@@ -446,27 +566,16 @@ func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView
 		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
 		return
 	}
-	obj.Dispatch(op, args, func(result codec.Record, err error) {
+	args, _ := v.RecordView("args")
+	c := p.getReplyCell(id, atID, srcAddr, srcLow)
+	obj.Dispatch(op, args, c.fn)
+	if !c.armed {
+		c.srcAddr = ""
 		p.mu.Lock()
-		p.stats.Replies++
+		c.next = p.freeReplies
+		p.freeReplies = c
 		p.mu.Unlock()
-		at, atLow := p.replyRef(atID)
-		buf := codec.GetBuffer()
-		if err != nil {
-			e := schemaReplyErr.Encoder(buf.B[:0])
-			e.Str("error", err.Error())
-			e.Uint("id", id)
-			_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
-			return
-		}
-		if result == nil {
-			result = codec.Record{}
-		}
-		e := schemaReplyOK.Encoder(buf.B[:0])
-		e.Uint("id", id)
-		e.Value("result", result)
-		_ = p.finishSend(buf, &e, at, atLow, srcAddr, srcLow) //nolint:errcheck
-	})
+	}
 }
 
 func (p *Platform) handleReply(v *codec.MsgView) {
@@ -483,19 +592,20 @@ func (p *Platform) handleReply(v *codec.MsgView) {
 	}
 	if _, hasErr := v.Raw("error"); hasErr {
 		s, _ := v.Str("error")
-		pc.cont(nil, fmt.Errorf("%w: %s", ErrRemote, s))
+		pc.cont(codec.MsgView{}, fmt.Errorf("%w: %s", ErrRemote, s))
 		return
 	}
-	result, _ := v.Record("result")
+	result, _ := v.RecordView("result")
 	pc.cont(result, nil)
 }
 
 func (p *Platform) handleOneway(atID int32, v *codec.MsgView) {
-	obj, op, args, ok := p.lookupLocal(atID, v)
+	obj, op, ok := p.lookupLocal(atID, v)
 	if !ok {
 		return
 	}
-	obj.Dispatch(op, args, func(codec.Record, error) {}) // replies discarded
+	args, _ := v.RecordView("args")
+	obj.Dispatch(op, args, discardReply) // replies discarded
 }
 
 func (p *Platform) handleEnqueue(v *codec.MsgView) {

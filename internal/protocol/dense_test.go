@@ -350,9 +350,20 @@ func TestCloseFlowClearsBroken(t *testing.T) {
 // immutable.
 func TestLayerStatsLazySnapshot(t *testing.T) {
 	l := NewLayer("test", sim.NewKernel(), newCaptureLower())
+	// pdu returns an n-byte PDU named name: the counters read only the
+	// wire name and the length.
+	pdu := func(name string, n int) []byte {
+		data := append([]byte{0x06, byte(len(name))}, name...)
+		return append(data, make([]byte, n-len(data))...)
+	}
 	l.mu.Lock()
-	l.countLocked("pdu.x", 10, 1)
-	l.countLocked("pdu.y", 20, 2)
+	mustCount := func(data []byte, n int) {
+		if err := l.countLocked(data, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustCount(pdu("pdu.x", 10), 1)
+	mustCount(pdu("pdu.y", 20), 2)
 	l.mu.Unlock()
 
 	s1 := l.Stats()
@@ -365,7 +376,7 @@ func TestLayerStatsLazySnapshot(t *testing.T) {
 	}
 
 	l.mu.Lock()
-	l.countLocked("pdu.x", 10, 3)
+	mustCount(pdu("pdu.x", 10), 3)
 	l.mu.Unlock()
 	s3 := l.Stats()
 	if reflect.ValueOf(s3.ByType).Pointer() == reflect.ValueOf(s1.ByType).Pointer() {

@@ -27,9 +27,13 @@ type Entity interface {
 	// FromUser handles a from-user service primitive executed by the local
 	// user at this entity's service access point.
 	FromUser(primitive string, params codec.Record) error
-	// FromPeer handles a decoded PDU received from a peer entity through
-	// the lower level service.
-	FromPeer(src Addr, pdu codec.Message) error
+	// FromPeer handles a PDU received from a peer entity through the
+	// lower level service, as a zero-copy view over the validated wire
+	// bytes. The view and every slice read through it alias the lower
+	// service's pooled delivery buffer: they are valid only until
+	// FromPeer returns (see Receiver), so state kept past the call must
+	// be copied out (string(b), append(dst, b...)).
+	FromPeer(src Addr, pdu codec.MsgView) error
 }
 
 // Context is an entity's window on its layer: its own address, PDU
@@ -58,49 +62,31 @@ func (c *Context) Schedule(delay time.Duration, fn func()) sim.TimerRef {
 	return c.layer.tb.ScheduleFuncRef(delay, fn)
 }
 
-// SendPDU encodes and transmits a PDU to the peer entity at dst through
-// the layer's lower service. The encoding goes into a pooled scratch
-// buffer: lower services copy synchronously (see LowerService.Send), so
-// the buffer is recycled before SendPDU returns.
-func (c *Context) SendPDU(dst Addr, pdu codec.Message) error {
-	buf := codec.GetBuffer()
-	data, err := codec.AppendMessage(buf.B[:0], pdu)
-	if err != nil {
-		buf.Release()
-		return fmt.Errorf("protocol: encode PDU %q: %w", pdu.Name, err)
-	}
-	err = c.layer.sendEncoded(c, dst, pdu.Name, data)
-	buf.B = data
-	buf.Release()
-	if err != nil {
-		return fmt.Errorf("protocol: send PDU %q %s→%s: %w", pdu.Name, c.self, dst, err)
+// SendPDU transmits one encoded PDU — a complete codec message,
+// typically appended through a package-level codec.Schema into a pooled
+// buffer — to the peer entity at dst through the layer's lower service.
+// Lower services copy synchronously (see LowerService.Send), so the
+// caller may recycle pdu as soon as SendPDU returns.
+func (c *Context) SendPDU(dst Addr, pdu []byte) error {
+	if err := c.layer.sendEncoded(c, dst, pdu); err != nil {
+		return fmt.Errorf("protocol: send PDU %s→%s: %w", c.self, dst, err)
 	}
 	return nil
 }
 
-// SendPDUMulti encodes pdu once and transmits it to every destination in
-// order — the fan-out path for broadcast-style protocol entities. On an
-// indexed lower with every destination resolved, the fan-out rides the
-// dense batch path; otherwise it degrades to a Send loop with identical
-// semantics (including randomness consumption, so traces are unchanged).
-// Layer counters advance exactly as if SendPDU were called once per
-// destination.
-func (c *Context) SendPDUMulti(dsts []Addr, pdu codec.Message) error {
+// SendPDUMulti transmits one encoded PDU to every destination in order —
+// the encode-once fan-out path for broadcast-style protocol entities. On
+// an indexed lower with every destination resolved, the fan-out rides
+// the dense batch path; otherwise it degrades to a Send loop with
+// identical semantics (including randomness consumption, so traces are
+// unchanged). Layer counters advance exactly as if SendPDU were called
+// once per destination.
+func (c *Context) SendPDUMulti(dsts []Addr, pdu []byte) error {
 	if len(dsts) == 0 {
 		return nil
 	}
-	buf := codec.GetBuffer()
-	data, err := codec.AppendMessage(buf.B[:0], pdu)
-	if err != nil {
-		buf.Release()
-		return fmt.Errorf("protocol: encode PDU %q: %w", pdu.Name, err)
-	}
-	defer func() {
-		buf.B = data
-		buf.Release()
-	}()
-	if err := c.layer.sendEncodedMulti(c, dsts, pdu.Name, data); err != nil {
-		return fmt.Errorf("protocol: send PDU %q fan-out from %s: %w", pdu.Name, c.self, err)
+	if err := c.layer.sendEncodedMulti(c, dsts, pdu); err != nil {
+		return fmt.Errorf("protocol: send PDU fan-out from %s: %w", c.self, err)
 	}
 	return nil
 }
@@ -125,9 +111,9 @@ type LayerStats struct {
 }
 
 // typeCounter is one interned per-PDU-type slot. Lookup is a linear scan
-// with Go's pointer-equality string fast path: PDU names are string
-// literals, so the steady-state stats hot path never hashes (layers see
-// a handful of PDU types; the scan beats a map well past that).
+// comparing the PDU's wire name bytes in place, so the steady-state
+// stats hot path neither hashes nor allocates (layers see a handful of
+// PDU types; the scan beats a map well past that).
 type typeCounter struct {
 	name string
 	n    uint64
@@ -237,11 +223,7 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 			if err != nil {
 				return // undecodable PDU: drop
 			}
-			msg, err := v.Message()
-			if err != nil {
-				return
-			}
-			_ = e.FromPeer(l.addrForLower(lowSrc), msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
+			_ = e.FromPeer(l.addrForLower(lowSrc), v) //nolint:errcheck // entity errors are local design errors surfaced in tests
 		})
 		if err != nil {
 			return fmt.Errorf("protocol: attach %q: %w", addr, err)
@@ -252,11 +234,7 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 		if err != nil {
 			return // undecodable PDU: drop
 		}
-		msg, err := v.Message()
-		if err != nil {
-			return
-		}
-		_ = e.FromPeer(src, msg) //nolint:errcheck // entity errors are local design errors surfaced in tests
+		_ = e.FromPeer(src, v) //nolint:errcheck // entity errors are local design errors surfaced in tests
 	}); err != nil {
 		return fmt.Errorf("protocol: attach %q: %w", addr, err)
 	}
@@ -295,25 +273,34 @@ func (l *Layer) deliverUp(id int32, primitive string, params codec.Record) {
 	}
 }
 
-// countLocked advances the interned PDU-type counters. Caller holds l.mu.
-func (l *Layer) countLocked(name string, bytes, n int) {
+// countLocked advances the interned PDU-type counters for the encoded
+// PDU data. Caller holds l.mu.
+func (l *Layer) countLocked(data []byte, n int) error {
+	name, err := codec.MessageName(data)
+	if err != nil {
+		return err
+	}
 	l.pdusSent += uint64(n)
-	l.bytesSent += uint64(n) * uint64(bytes)
+	l.bytesSent += uint64(n) * uint64(len(data))
 	l.snapDirty = true
 	for i := range l.types {
-		if l.types[i].name == name {
+		if l.types[i].name == string(name) {
 			l.types[i].n += uint64(n)
-			return
+			return nil
 		}
 	}
-	l.types = append(l.types, typeCounter{name: name, n: uint64(n)})
+	l.types = append(l.types, typeCounter{name: string(name), n: uint64(n)})
+	return nil
 }
 
 // sendEncoded counts and transmits one already-encoded PDU, using the
 // dense plane when the destination's lower id resolves.
-func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) error {
+func (l *Layer) sendEncoded(c *Context, dst Addr, data []byte) error {
 	l.mu.Lock()
-	l.countLocked(name, len(data), 1)
+	if err := l.countLocked(data, 1); err != nil {
+		l.mu.Unlock()
+		return err
+	}
 	low := int32(-1)
 	if l.ilower != nil && c.selfLow >= 0 {
 		low = l.dstLowLocked(dst)
@@ -327,9 +314,12 @@ func (l *Layer) sendEncoded(c *Context, dst Addr, name string, data []byte) erro
 
 // sendEncodedMulti counts and transmits one encoded PDU to every
 // destination, through the dense batch path when every id resolves.
-func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, name string, data []byte) error {
+func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, data []byte) error {
 	l.mu.Lock()
-	l.countLocked(name, len(data), len(dsts))
+	if err := l.countLocked(data, len(dsts)); err != nil {
+		l.mu.Unlock()
+		return err
+	}
 	dense := l.ilower != nil && c.selfLow >= 0
 	lows := l.lowScratch[:0]
 	if dense {

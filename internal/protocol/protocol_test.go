@@ -238,19 +238,32 @@ func (e *echoEntity) FromUser(primitive string, params codec.Record) error {
 	if primitive != "ping" {
 		return fmt.Errorf("echo: unknown primitive %q", primitive)
 	}
-	return e.ctx.SendPDU(e.peer, codec.NewMessage("echo.req", params))
+	return e.ctx.SendPDU(e.peer, encodePDU("echo.req", params))
 }
 
-func (e *echoEntity) FromPeer(src Addr, pdu codec.Message) error {
-	switch pdu.Name {
+func (e *echoEntity) FromPeer(src Addr, pdu codec.MsgView) error {
+	fields, err := pdu.Fields()
+	if err != nil {
+		return err
+	}
+	switch string(pdu.Name()) {
 	case "echo.req":
-		return e.ctx.SendPDU(src, codec.NewMessage("echo.resp", pdu.Fields))
+		return e.ctx.SendPDU(src, encodePDU("echo.resp", fields))
 	case "echo.resp":
-		e.ctx.DeliverToUser("pong", pdu.Fields)
+		e.ctx.DeliverToUser("pong", fields)
 		return nil
 	default:
-		return fmt.Errorf("echo: unknown PDU %q", pdu.Name)
+		return fmt.Errorf("echo: unknown PDU %q", pdu.Name())
 	}
+}
+
+// encodePDU encodes a dynamic PDU for the test entities.
+func encodePDU(name string, fields codec.Record) []byte {
+	data, err := codec.AppendMessage(nil, codec.Message{Name: name, Fields: fields})
+	if err != nil {
+		panic(err)
+	}
+	return data
 }
 
 func TestLayerEchoProtocol(t *testing.T) {

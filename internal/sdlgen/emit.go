@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/format"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -51,11 +52,11 @@ func (e *emitter) emptyLine() { e.buf.WriteByte('\n') }
 // missing payload records.
 func (m *Model) needsFmt() bool {
 	for _, p := range m.Primitives {
-		if len(p.Params) > 0 || !p.FromUser {
+		if !p.FromUser {
 			return true
 		}
 	}
-	return false
+	return m.hasParams()
 }
 
 // needsTime reports whether the generated file uses the time package
@@ -135,14 +136,15 @@ func (m *Model) emitConsts(e *emitter) {
 	}
 	e.p(")")
 	e.emptyLine()
-	e.p("// Compiled parameter-record schemas, one per primitive.")
+	e.p("// Compiled parameter-record layouts, one per primitive: the bare")
+	e.p("// record a port call or oneway send carries as its arguments.")
 	e.p("var (")
 	for _, p := range m.Primitives {
-		args := fmt.Sprintf("Prim%s", p.Go)
+		var args []string
 		for _, param := range p.Params {
-			args += fmt.Sprintf(", %q", param.Decl.Name)
+			args = append(args, fmt.Sprintf("%q", param.Decl.Name))
 		}
-		e.p("\tSchema%s = codec.CompileSchema(%s)", p.Go, args)
+		e.p("\tSchema%s = codec.CompileRecord(%s)", p.Go, strings.Join(args, ", "))
 	}
 	e.p(")")
 	e.emptyLine()
@@ -281,19 +283,28 @@ func (m *Model) emitScaffolding(e *emitter) {
 	e.p("}")
 	e.emptyLine()
 	e.p("// Ack is the empty acknowledgement every handled primitive replies")
-	e.p("// with (oneway deliveries elide it on the wire).")
+	e.p("// with: the empty record on the wire (oneway deliveries elide it).")
 	e.p("type Ack struct{}")
 	e.emptyLine()
-	e.p("// EncodeAck marshals an acknowledgement into an empty reply record.")
-	e.p("func EncodeAck(Ack) codec.Record {")
-	e.p("\treturn codec.Record{}")
-	e.p("}")
-	e.emptyLine()
-	e.p("// DecodeAck unmarshals an acknowledgement reply record.")
-	e.p("func DecodeAck(codec.Record) (Ack, error) {")
-	e.p("\treturn Ack{}, nil")
-	e.p("}")
-	e.emptyLine()
+	if m.hasParams() {
+		e.p("// mistyped reports a parameter whose wire value has the wrong type.")
+		e.p("func mistyped(v *codec.MsgView, prim, param, want string) error {")
+		e.p("\tgot, _ := v.Value(param)")
+		e.p("\treturn fmt.Errorf(\"%%s: parameter %%q: want %%s, got %%T\", prim, param, want, got)")
+		e.p("}")
+		e.emptyLine()
+	}
+}
+
+// hasParams reports whether any primitive carries parameters (and so a
+// view decoder that can reject mistyped ones).
+func (m *Model) hasParams() bool {
+	for _, p := range m.Primitives {
+		if len(p.Params) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *Model) emitPrimitive(e *emitter, p Primitive) {
@@ -316,86 +327,10 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	}
 	e.emptyLine()
 
-	// Record encoder.
-	e.p("// Encode%sParams marshals p into the generic parameter record the", p.Go)
-	e.p("// invocation plane carries.")
-	if len(p.Params) == 0 {
-		e.p("func Encode%sParams(%sParams) codec.Record {", p.Go, p.Go)
-		e.p("\treturn codec.Record{}")
-	} else {
-		e.p("func Encode%sParams(p %sParams) codec.Record {", p.Go, p.Go)
-		for i, param := range p.Params {
-			if param.Decl.Kind != core.KindStringList {
-				continue
-			}
-			e.p("\tf%d := make([]codec.Value, len(p.%s))", i, param.Go)
-			e.p("\tfor i, v := range p.%s {", param.Go)
-			e.p("\t\tf%d[i] = v", i)
-			e.p("\t}")
-		}
-		e.p("\treturn codec.Record{")
-		for i, param := range p.Params {
-			if param.Decl.Kind == core.KindStringList {
-				e.p("\t\t%q: f%d,", param.Decl.Name, i)
-			} else {
-				e.p("\t\t%q: p.%s,", param.Decl.Name, param.Go)
-			}
-		}
-		e.p("\t}")
-	}
-	e.p("}")
-	e.emptyLine()
-
-	// Record decoder.
-	e.p("// Decode%sParams unmarshals a %q parameter record. Absent parameters", p.Go, name)
-	e.p("// decode to zero values; mistyped ones are rejected.")
-	if len(p.Params) == 0 {
-		e.p("func Decode%sParams(codec.Record) (%sParams, error) {", p.Go, p.Go)
-		e.p("\treturn %sParams{}, nil", p.Go)
-		e.p("}")
-	} else {
-		e.p("func Decode%sParams(r codec.Record) (%sParams, error) {", p.Go, p.Go)
-		e.p("\tvar p %sParams", p.Go)
-		for _, param := range p.Params {
-			pn := param.Decl.Name
-			e.p("\tif v, ok := r[%q]; ok {", pn)
-			switch param.Decl.Kind {
-			case core.KindInt:
-				e.p("\t\tswitch n := v.(type) {")
-				e.p("\t\tcase int64:")
-				e.p("\t\t\tp.%s = n", param.Go)
-				e.p("\t\tcase int:")
-				e.p("\t\t\tp.%s = int64(n)", param.Go)
-				e.p("\t\tcase int32:")
-				e.p("\t\t\tp.%s = int64(n)", param.Go)
-				e.p("\t\tdefault:")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want int, got %%T\", %q, v)", name, pn)
-				e.p("\t\t}")
-			case core.KindStringList:
-				e.p("\t\txs, err := codec.ToStringSlice(v)")
-				e.p("\t\tif err != nil {")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: %%v\", %q, err)", name, pn)
-				e.p("\t\t}")
-				e.p("\t\tp.%s = xs", param.Go)
-			default:
-				gt := goType(param.Decl.Kind)
-				e.p("\t\tc, ok := v.(%s)", gt)
-				e.p("\t\tif !ok {")
-				e.p("\t\t\treturn p, fmt.Errorf(\"%s: parameter %%q: want %s, got %%T\", %q, v)", name, kindLabel(param.Decl.Kind), pn)
-				e.p("\t\t}")
-				e.p("\t\tp.%s = c", param.Go)
-			}
-			e.p("\t}")
-		}
-		e.p("\treturn p, nil")
-		e.p("}")
-	}
-	e.emptyLine()
-
 	// Schema wire encoder (canonical field order is the schema's sorted
 	// order, not declaration order).
-	e.p("// Append%sParams appends the canonical wire form of p to buf through", p.Go)
-	e.p("// the compiled schema — byte-identical to encoding %sMessage(p).", p.Go)
+	e.p("// Append%sParams appends p's parameter record to buf through", p.Go)
+	e.p("// Schema%s: the argument record the %q port or sink carries.", p.Go, name)
 	if len(p.Params) == 0 {
 		e.p("func Append%sParams(buf []byte, _ %sParams) ([]byte, error) {", p.Go, p.Go)
 		e.p("\te := Schema%s.Encoder(buf)", p.Go)
@@ -410,13 +345,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 			case core.KindBool:
 				e.p("\te.Bool(%q, p.%s)", pn, param.Go)
 			case core.KindStringList:
-				e.p("\t{")
-				e.p("\t\txs := make([]codec.Value, len(p.%s))", param.Go)
-				e.p("\t\tfor i, v := range p.%s {", param.Go)
-				e.p("\t\t\txs[i] = v")
-				e.p("\t\t}")
-				e.p("\t\te.Value(%q, xs)", pn)
-				e.p("\t}")
+				e.p("\te.StrList(%q, p.%s)", pn, param.Go)
 			default:
 				e.p("\te.Str(%q, p.%s)", pn, param.Go)
 			}
@@ -426,20 +355,96 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 	e.p("}")
 	e.emptyLine()
 
-	// Message wrapper.
-	e.p("// %sMessage wraps p as the named message the queue and topic planes", p.Go)
-	e.p("// carry.")
-	e.p("func %sMessage(p %sParams) codec.Message {", p.Go, p.Go)
-	e.p("\treturn codec.NewMessage(Prim%s, Encode%sParams(p))", p.Go, p.Go)
-	e.p("}")
+	// View decoder.
+	e.p("// Decode%sParams reads a %q parameter record through a zero-copy", p.Go, name)
+	e.p("// view, copying strings out of it. Absent parameters decode to zero")
+	e.p("// values; mistyped ones are rejected.")
+	if len(p.Params) == 0 {
+		e.p("func Decode%sParams(codec.MsgView) (%sParams, error) {", p.Go, p.Go)
+		e.p("\treturn %sParams{}, nil", p.Go)
+		e.p("}")
+	} else {
+		e.p("func Decode%sParams(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
+		e.p("\tvar p %sParams", p.Go)
+		for _, param := range p.Params {
+			pn := param.Decl.Name
+			e.p("\tif _, ok := v.Raw(%q); ok {", pn)
+			switch param.Decl.Kind {
+			case core.KindInt:
+				e.p("\t\tn, ok := v.Int(%q)", pn)
+				e.p("\t\tif !ok {")
+				e.p("\t\t\treturn p, mistyped(&v, %q, %q, %q)", name, pn, kindLabel(param.Decl.Kind))
+				e.p("\t\t}")
+				e.p("\t\tp.%s = n", param.Go)
+			case core.KindBool:
+				e.p("\t\tb, ok := v.Bool(%q)", pn)
+				e.p("\t\tif !ok {")
+				e.p("\t\t\treturn p, mistyped(&v, %q, %q, %q)", name, pn, kindLabel(param.Decl.Kind))
+				e.p("\t\t}")
+				e.p("\t\tp.%s = b", param.Go)
+			case core.KindStringList:
+				e.p("\t\tit, ok := v.StrList(%q)", pn)
+				e.p("\t\tif !ok {")
+				e.p("\t\t\treturn p, mistyped(&v, %q, %q, %q)", name, pn, kindLabel(param.Decl.Kind))
+				e.p("\t\t}")
+				e.p("\t\tp.%s = make([]string, 0, it.Len())", param.Go)
+				e.p("\t\tfor s, ok := it.Next(); ok; s, ok = it.Next() {")
+				e.p("\t\t\tp.%s = append(p.%s, string(s))", param.Go, param.Go)
+				e.p("\t\t}")
+			default:
+				e.p("\t\ts, ok := v.Str(%q)", pn)
+				e.p("\t\tif !ok {")
+				e.p("\t\t\treturn p, mistyped(&v, %q, %q, %q)", name, pn, kindLabel(param.Decl.Kind))
+				e.p("\t\t}")
+				e.p("\t\tp.%s = string(s)", param.Go)
+			}
+			e.p("\t}")
+		}
+		e.p("\treturn p, nil")
+		e.p("}")
+	}
 	e.emptyLine()
+
+	if !p.FromUser {
+		// Record encoder and message wrapper for the topic plane, which
+		// carries named messages with dynamic parameter records.
+		e.p("// Encode%sParams marshals p into the generic parameter record the", p.Go)
+		e.p("// topic plane carries.")
+		if len(p.Params) == 0 {
+			e.p("func Encode%sParams(%sParams) codec.Record {", p.Go, p.Go)
+			e.p("\treturn codec.Record{}")
+		} else {
+			e.p("func Encode%sParams(p %sParams) codec.Record {", p.Go, p.Go)
+			for i, param := range p.Params {
+				if param.Decl.Kind == core.KindStringList {
+					e.p("\tf%d := codec.StringList(p.%s)", i, param.Go)
+				}
+			}
+			e.p("\treturn codec.Record{")
+			for i, param := range p.Params {
+				if param.Decl.Kind == core.KindStringList {
+					e.p("\t\t%q: f%d,", param.Decl.Name, i)
+				} else {
+					e.p("\t\t%q: p.%s,", param.Decl.Name, param.Go)
+				}
+			}
+			e.p("\t}")
+		}
+		e.p("}")
+		e.emptyLine()
+		e.p("// %sMessage wraps p as the named message the topic plane carries.", p.Go)
+		e.p("func %sMessage(p %sParams) codec.Message {", p.Go, p.Go)
+		e.p("\treturn codec.Message{Name: Prim%s, Fields: Encode%sParams(p)}", p.Go, p.Go)
+		e.p("}")
+		e.emptyLine()
+	}
 
 	if p.FromUser {
 		e.p("// New%sPort opens a typed RPC port for primitive %q: the user part", p.Go, name)
 		e.p("// submits %sParams to the provider object and the continuation", p.Go)
 		e.p("// receives the acknowledgement.")
 		e.p("func New%sPort(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Port[%sParams, Ack], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewPort(b, target, Prim%s, Encode%sParams, DecodeAck, opts...)", p.Go, p.Go)
+		e.p("\treturn svc.NewPort[%sParams, Ack](b, target, Prim%s, Append%sParams, nil, opts...)", p.Go, p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// Handle%s registers the provider-side handler for primitive %q on", p.Go, name)
@@ -448,7 +453,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// New%sSink opens a typed oneway sink for primitive %q: the provider", p.Go, name)
 		e.p("// delivers %sParams to a user-part object without awaiting a reply.", p.Go)
 		e.p("func New%sSink(b *svc.Binding, target middleware.ObjRef, opts ...svc.PortOption) (*svc.Sink[%sParams], error) {", p.Go, p.Go)
-		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Encode%sParams, opts...)", p.Go, p.Go)
+		e.p("\treturn svc.NewOnewaySink(b, target, Prim%s, Append%sParams, opts...)", p.Go, p.Go)
 		e.p("}")
 		e.emptyLine()
 		e.p("// New%sTopicSink opens a typed publisher of %q events on topic.", p.Go, name)
@@ -460,7 +465,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// Decode%sView decodes a published %q event from the zero-copy", p.Go, name)
 		e.p("// delivery plane.")
 		e.p("func Decode%sView(v codec.MsgView) (%sParams, error) {", p.Go, p.Go)
-		e.p("\tfields, ok := v.Record(\"fields\")")
+		e.p("\tfields, ok := v.RecordView(\"fields\")")
 		e.p("\tif !ok {")
 		e.p("\t\treturn %sParams{}, fmt.Errorf(\"%s: event carries no parameter record\")", p.Go, name)
 		e.p("\t}")
@@ -478,7 +483,7 @@ func (m *Model) emitPrimitive(e *emitter, p Primitive) {
 		e.p("// deliveries on export e.")
 	}
 	e.p("func Handle%s(e *svc.Export, h func(%sParams, func(Ack, error))) error {", p.Go, p.Go)
-	e.p("\treturn svc.HandleOp(e, Prim%s, Decode%sParams, EncodeAck, h)", p.Go, p.Go)
+	e.p("\treturn svc.HandleOp(e, Prim%s, Decode%sParams, nil, h)", p.Go, p.Go)
 	e.p("}")
 	e.emptyLine()
 }

@@ -128,7 +128,7 @@ func Build(doc *sdl.Document, pkg, source string) (*Model, error) {
 	}
 	for _, fixed := range []string{
 		"ServiceName", "Spec", "Service", "Bind",
-		"Ack", "EncodeAck", "DecodeAck",
+		"Ack",
 		"Provider", "Consumer", "ExportProvider", "ExportConsumer",
 	} {
 		used[fixed] = "the package scaffolding"

@@ -47,11 +47,38 @@ type benchReq struct{ N uint64 }
 
 type benchResp struct{ N uint64 }
 
-func encBenchReq(r benchReq) codec.Record { return codec.Record{"n": r.N} }
+// benchArgs is the record layout of bench requests and replies.
+var benchArgs = codec.CompileRecord("n")
 
-func decBenchResp(r codec.Record) (benchResp, error) {
-	n, _ := r["n"].(uint64)
+func encBenchReq(dst []byte, r benchReq) ([]byte, error) {
+	e := benchArgs.Encoder(dst)
+	e.Uint("n", r.N)
+	return e.Finish()
+}
+
+func decBenchReq(v codec.MsgView) (benchReq, error) {
+	n, _ := v.Uint("n")
+	return benchReq{N: n}, nil
+}
+
+func encBenchResp(dst []byte, r benchResp) ([]byte, error) {
+	return encBenchReq(dst, benchReq(r))
+}
+
+func decBenchResp(v codec.MsgView) (benchResp, error) {
+	n, _ := v.Uint("n")
 	return benchResp{N: n}, nil
+}
+
+// rawEcho is the hand-written server half of the raw-platform baseline:
+// read n from the argument view, reply n+1 from a pooled buffer.
+func rawEcho(args codec.MsgView, reply middleware.Reply) {
+	n, _ := args.Uint("n")
+	buf := codec.GetBuffer()
+	res, _ := encBenchResp(buf.B[:0], benchResp{N: n + 1})
+	reply(res, nil)
+	buf.B = res
+	buf.Release()
 }
 
 // drainB runs the kernel until the event queue is empty.
@@ -77,8 +104,8 @@ func BenchmarkSvcCall(b *testing.B) {
 		b.Fatal(err)
 	}
 	err = svc.HandleOp(e, "echo",
-		func(r codec.Record) (benchReq, error) { n, _ := r["n"].(uint64); return benchReq{N: n}, nil },
-		func(r benchResp) codec.Record { return codec.Record{"n": r.N} },
+		decBenchReq,
+		encBenchResp,
 		func(req benchReq, respond func(benchResp, error)) { respond(benchResp{N: req.N + 1}, nil) })
 	if err != nil {
 		b.Fatal(err)
@@ -121,25 +148,29 @@ func BenchmarkSvcCall(b *testing.B) {
 // Platform.Invoke — the baseline the svc façade is gated against.
 func BenchmarkRawPlatformInvoke(b *testing.B) {
 	kernel, p := rpcStack(b)
-	obj := middleware.ObjectFunc(func(op string, args codec.Record, reply middleware.Reply) {
+	obj := middleware.ObjectFunc(func(op string, args codec.MsgView, reply middleware.Reply) {
 		if op != "echo" {
 			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
 			return
 		}
-		n, _ := args["n"].(uint64)
-		reply(codec.Record{"n": n + 1}, nil)
+		rawEcho(args, reply)
 	})
 	if err := p.Register("server", "node-s", obj); err != nil {
 		b.Fatal(err)
 	}
 	done := 0
-	cont := func(r codec.Record, err error) {
+	cont := func(r codec.MsgView, err error) {
 		if err != nil {
 			b.Fatal(err)
 		}
 		done++
 	}
-	if err := p.Invoke("node-c", "server", "echo", codec.Record{"n": uint64(1)}, cont); err != nil {
+	var args []byte
+	invoke := func(n uint64) error {
+		args, _ = encBenchReq(args[:0], benchReq{N: n})
+		return p.Invoke("node-c", "server", "echo", args, cont)
+	}
+	if err := invoke(1); err != nil {
 		b.Fatal(err)
 	}
 	drainB(b, kernel)
@@ -147,7 +178,7 @@ func BenchmarkRawPlatformInvoke(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Invoke("node-c", "server", "echo", codec.Record{"n": uint64(i)}, cont); err != nil {
+		if err := invoke(uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 		drainB(b, kernel)
@@ -169,8 +200,8 @@ func BenchmarkSvcOnewaySend(b *testing.B) {
 	}
 	got := 0
 	err = svc.HandleOp(e, "put",
-		func(r codec.Record) (benchReq, error) { n, _ := r["n"].(uint64); return benchReq{N: n}, nil },
-		func(struct{}) codec.Record { return codec.Record{} },
+		decBenchReq,
+		nil,
 		func(req benchReq, respond func(struct{}, error)) { got++; respond(struct{}{}, nil) })
 	if err != nil {
 		b.Fatal(err)
@@ -213,8 +244,8 @@ func TestSvcCallAddsNoAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = svc.HandleOp(e, "echo",
-		func(r codec.Record) (benchReq, error) { n, _ := r["n"].(uint64); return benchReq{N: n}, nil },
-		func(r benchResp) codec.Record { return codec.Record{"n": r.N} },
+		decBenchReq,
+		encBenchResp,
 		func(req benchReq, respond func(benchResp, error)) { respond(benchResp{N: req.N + 1}, nil) })
 	if err != nil {
 		t.Fatal(err)
@@ -240,16 +271,16 @@ func TestSvcCallAddsNoAllocations(t *testing.T) {
 
 	// raw path.
 	kernel2, p2 := rpcStack(t)
-	obj := middleware.ObjectFunc(func(op string, args codec.Record, reply middleware.Reply) {
-		n, _ := args["n"].(uint64)
-		reply(codec.Record{"n": n + 1}, nil)
+	obj := middleware.ObjectFunc(func(_ string, args codec.MsgView, reply middleware.Reply) {
+		rawEcho(args, reply)
 	})
 	if err := p2.Register("server", "node-s", obj); err != nil {
 		t.Fatal(err)
 	}
-	contRaw := func(codec.Record, error) {}
+	contRaw := func(codec.MsgView, error) {}
+	args, _ := encBenchReq(nil, benchReq{N: 1})
 	warmRaw := func() {
-		if err := p2.Invoke("node-c", "server", "echo", codec.Record{"n": uint64(1)}, contRaw); err != nil {
+		if err := p2.Invoke("node-c", "server", "echo", args, contRaw); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := kernel2.Run(); err != nil {

@@ -23,8 +23,8 @@ type Port[Req, Resp any] struct {
 	b      *Binding
 	target middleware.ObjRef
 	op     string
-	enc    func(Req) codec.Record
-	dec    func(codec.Record) (Resp, error)
+	enc    func([]byte, Req) ([]byte, error)
+	dec    func(codec.MsgView) (Resp, error)
 	cfg    portConfig
 
 	// Call-state pool: a single-slot atomic fast path (sequential calls
@@ -45,18 +45,41 @@ type callState[Req, Resp any] struct {
 	deadline bool         // a deadline was armed for this call
 	fired    bool         // continuation already delivered
 
-	onReply    func(codec.Record, error) // = s.reply, built once
-	onDeadline func()                    // = s.deadline, built once
+	onReply    middleware.Continuation // = s.reply, built once
+	onDeadline func()                  // = s.deadline, built once
 	next       *callState[Req, Resp]
+
+	// args is the request-encoding scratch buffer, reused by every call
+	// that borrows this state (see keepArgs).
+	args []byte
 }
 
-// NewPort creates a typed RPC port on the binding. enc marshals the
-// request into the operation's parameter record (the same record shape a
-// raw Platform.Invoke caller would pass); dec unmarshals the reply
-// record. dec may be nil for ports whose replies carry no payload (the
-// zero Resp is delivered). The profile must offer the RPC pattern.
+// maxScratch bounds the encode scratch buffers the pooled call states
+// and respond cells keep between uses, so one oversized record does not
+// pin a large allocation for the port's lifetime.
+const maxScratch = 64 << 10
+
+// keepArgs retains the (possibly grown) request buffer for the state's
+// next call.
+func (s *callState[Req, Resp]) keepArgs(b []byte) {
+	if cap(b) <= maxScratch {
+		s.args = b[:0]
+	} else {
+		s.args = nil
+	}
+}
+
+// NewPort creates a typed RPC port on the binding. enc is an
+// append-encoder: it appends the request's parameter record — one
+// complete codec record value, typically through a codec.CompileRecord
+// schema — to the buffer it is given (the same bytes a raw
+// Platform.Invoke caller would pass). dec is a view-decoder: it reads
+// the reply's result record through a zero-copy view that is valid only
+// until dec returns, so the Resp it builds must copy what it keeps. dec
+// may be nil for ports whose replies carry no payload (the zero Resp is
+// delivered). The profile must offer the RPC pattern.
 func NewPort[Req, Resp any](b *Binding, target middleware.ObjRef, op string,
-	enc func(Req) codec.Record, dec func(codec.Record) (Resp, error),
+	enc func([]byte, Req) ([]byte, error), dec func(codec.MsgView) (Resp, error),
 	opts ...PortOption) (*Port[Req, Resp], error) {
 	if err := b.supports(middleware.PatternRPC); err != nil {
 		return nil, err
@@ -122,13 +145,24 @@ func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
 // unknown target, unsupported pattern, transport refusal) is returned by
 // Call itself and cont does not run.
 //
+// The request is encoded once, into the pooled call state's scratch
+// buffer, which the platform copies onto the wire before Invoke
+// returns; a codec.Record of it is built only when a monitor is
+// attached.
+//
 //repolint:hotpath
 func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, error)) error {
-	args := p.enc(req)
-	if err := p.cfg.observeOut(p.b.tb, args); err != nil {
+	s := p.getState()
+	args, err := p.enc(s.args[:0], req)
+	if err != nil {
+		p.putState(s)
+		return fmt.Errorf("svc: port %s.%s: encode request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder rejected the request
+	}
+	s.keepArgs(args)
+	if err := p.cfg.observeOutArgs(p.b.tb, args); err != nil {
+		p.putState(s)
 		return err
 	}
-	s := p.getState()
 	s.cont = cont
 	if p.cfg.deadline > 0 {
 		s.deadline = true
@@ -161,7 +195,7 @@ func (s *callState[Req, Resp]) reset() {
 // against the expiry event. Either way, the state returns to the pool
 // before the continuation runs (on local copies), so a reentrant Call
 // from inside cont may reuse it safely.
-func (s *callState[Req, Resp]) reply(result codec.Record, err error) {
+func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 	p := s.p
 	var late bool
 	var cont func(Resp, error)
@@ -230,11 +264,11 @@ type Export struct {
 // exportOp is one operation's dispatch entry.
 type exportOp struct {
 	name string
-	fn   func(codec.Record, middleware.Reply)
+	fn   func(codec.MsgView, middleware.Reply)
 }
 
 // lookup finds an operation's handler.
-func (e *Export) lookup(op string) func(codec.Record, middleware.Reply) {
+func (e *Export) lookup(op string) func(codec.MsgView, middleware.Reply) {
 	for i := range e.ops {
 		if e.ops[i].name == op {
 			return e.ops[i].fn
@@ -281,7 +315,7 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr, opts ..
 // the port's call-state pool, a single-slot atomic serves sequential
 // dispatches; concurrent ones fall back to the mutex-guarded list.
 type respondPool[Resp any] struct {
-	enc  func(Resp) codec.Record
+	enc  func([]byte, Resp) ([]byte, error)
 	slot atomic.Pointer[respondCell[Resp]]
 	mu   sync.Mutex
 	free *respondCell[Resp]
@@ -292,6 +326,7 @@ type respondCell[Resp any] struct {
 	reply middleware.Reply
 	fn    func(Resp, error) // = cell.respond, built once
 	next  *respondCell[Resp]
+	buf   []byte // reply-encoding scratch, reused across dispatches
 }
 
 // respond marshals and delivers the reply. Respond runs at most once
@@ -306,13 +341,18 @@ func (c *respondCell[Resp]) respond(resp Resp, err error) {
 	}
 	c.reply = nil
 	pool := c.pool
-	switch {
-	case err != nil:
-		reply(nil, err)
-	case pool.enc != nil:
-		reply(pool.enc(resp), nil)
-	default:
-		reply(codec.Record{}, nil)
+	if err != nil || pool.enc == nil {
+		reply(nil, err) // nil result: the empty record
+		return
+	}
+	result, err := pool.enc(c.buf[:0], resp)
+	if err != nil {
+		reply(nil, fmt.Errorf("svc: encode reply: %w", err))
+		return
+	}
+	reply(result, nil) // copied onto the wire before reply returns
+	if cap(result) <= maxScratch {
+		c.buf = result[:0]
 	}
 }
 
@@ -347,10 +387,13 @@ func (p *respondPool[Resp]) get(reply middleware.Reply) *respondCell[Resp] {
 	return c
 }
 
-// HandleOp adds a typed handler for one operation. dec unmarshals the
-// argument record; it may be nil only for handlers that take the raw
-// record (Req = codec.Record), which HandleOp enforces at registration.
-// enc marshals the response (nil replies an empty record). The handler's
+// HandleOp adds a typed handler for one operation. dec is a
+// view-decoder for the argument record: the view aliases the wire
+// buffer and is valid only until dec returns, so the Req it builds must
+// copy what it keeps (string(b), not b). dec may be nil for operations
+// without parameters (the zero Req is dispatched). enc is an
+// append-encoder for the response's result record (nil replies the
+// empty record). The handler's
 // respond continuation may escape the handler and be called
 // asynchronously, but must be invoked at most once and never retained
 // past its invocation — the continuation is pooled per operation, so
@@ -362,7 +405,7 @@ func (p *respondPool[Resp]) get(reply middleware.Reply) *respondCell[Resp] {
 // anyway, and fires it during a later dispatch of the same operation
 // can misdeliver — a contract violation, never memory unsafety.
 func HandleOp[Req, Resp any](e *Export, op string,
-	dec func(codec.Record) (Req, error), enc func(Resp) codec.Record,
+	dec func(codec.MsgView) (Req, error), enc func([]byte, Resp) ([]byte, error),
 	h func(req Req, respond func(Resp, error))) error {
 	if e.registered {
 		return &classed{class: ErrAlreadyBound, cause: fmt.Errorf("export %q already registered", e.ref)}
@@ -370,17 +413,11 @@ func HandleOp[Req, Resp any](e *Export, op string,
 	if h == nil {
 		return fmt.Errorf("svc: export %q: nil handler for %q", e.ref, op)
 	}
-	if dec == nil {
-		var zero Req
-		if _, ok := any(zero).(codec.Record); !ok {
-			return fmt.Errorf("svc: export %q: op %q: nil decoder requires Req = codec.Record, got %T", e.ref, op, zero)
-		}
-	}
 	if e.lookup(op) != nil {
 		return fmt.Errorf("svc: export %q: duplicate handler for %q", e.ref, op)
 	}
 	pool := &respondPool[Resp]{enc: enc}
-	e.ops = append(e.ops, exportOp{name: op, fn: func(args codec.Record, reply middleware.Reply) {
+	e.ops = append(e.ops, exportOp{name: op, fn: func(args codec.MsgView, reply middleware.Reply) {
 		var req Req
 		if dec != nil {
 			var err error
@@ -388,8 +425,6 @@ func HandleOp[Req, Resp any](e *Export, op string,
 				reply(nil, err)
 				return
 			}
-		} else if r, ok := any(args).(Req); ok {
-			req = r
 		}
 		c := pool.get(reply)
 		h(req, c.fn)
@@ -410,13 +445,13 @@ func HandleOp[Req, Resp any](e *Export, op string,
 // operations without a handler reply middleware.ErrUnknownOperation,
 // exactly as a hand-written component object would.
 func (e *Export) object() middleware.Object {
-	return middleware.ObjectFunc(func(op string, args codec.Record, reply middleware.Reply) {
+	return middleware.ObjectFunc(func(op string, args codec.MsgView, reply middleware.Reply) {
 		fn := e.lookup(op)
 		if fn == nil {
 			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
 			return
 		}
-		e.cfg.observeInOp(e.b.tb, op, args)
+		e.cfg.observeInView(e.b.tb, op, args)
 		fn(args, reply)
 	})
 }

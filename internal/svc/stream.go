@@ -30,16 +30,17 @@ type Sink[T any] struct {
 	// oneway:
 	target middleware.ObjRef
 	op     string
-	encRec func(T) codec.Record
+	encArg func([]byte, T) ([]byte, error)
 	// queue / topic:
 	name   string
 	encMsg func(T) codec.Message
 }
 
 // NewOnewaySink creates a typed fire-and-forget port to an object's
-// operation (the oneway message-passing pattern).
+// operation (the oneway message-passing pattern). enc is an
+// append-encoder for the operation's parameter record, as for NewPort.
 func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
-	enc func(T) codec.Record, opts ...PortOption) (*Sink[T], error) {
+	enc func([]byte, T) ([]byte, error), opts ...PortOption) (*Sink[T], error) {
 	if err := b.supports(middleware.PatternOneway); err != nil {
 		return nil, err
 	}
@@ -50,7 +51,7 @@ func NewOnewaySink[T any](b *Binding, target middleware.ObjRef, op string,
 	if err != nil {
 		return nil, err
 	}
-	return &Sink[T]{b: b, kind: sinkOneway, cfg: cfg, target: target, op: op, encRec: enc}, nil
+	return &Sink[T]{b: b, kind: sinkOneway, cfg: cfg, target: target, op: op, encArg: enc}, nil
 }
 
 // NewQueueSink creates a typed producer port for a declared queue (the
@@ -93,8 +94,14 @@ func NewTopicSink[T any](b *Binding, topic string,
 func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 	switch s.kind {
 	case sinkOneway:
-		args := s.encRec(v)
-		if err := s.cfg.observeOut(s.b.tb, args); err != nil {
+		buf := codec.GetBuffer()
+		defer buf.Release()
+		args, err := s.encArg(buf.B[:0], v)
+		if err != nil {
+			return fmt.Errorf("svc: oneway sink %s.%s: encode: %w", s.target, s.op, err)
+		}
+		buf.B = args
+		if err := s.cfg.observeOutArgs(s.b.tb, args); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
@@ -158,7 +165,7 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 			return
 		}
 		src.received++
-		src.cfg.observeIn(b.tb, m.Fields)
+		src.cfg.observeInOp(b.tb, "", m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)
@@ -193,8 +200,8 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 		src.received++
 		if src.cfg.monitor != nil {
 			// Materialize the params only when a monitor is watching.
-			fields, _ := v.Record("fields")
-			src.cfg.observeIn(b.tb, fields)
+			fields, _ := v.RecordView("fields")
+			src.cfg.observeInView(b.tb, "", fields)
 		}
 		fn(val)
 	}); err != nil {
@@ -227,7 +234,7 @@ func NewTopicSourceMessages[T any](b *Binding, topic string, node middleware.Add
 			return
 		}
 		src.received++
-		src.cfg.observeIn(b.tb, m.Fields)
+		src.cfg.observeInOp(b.tb, "", m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)

@@ -117,7 +117,7 @@ func wrapErr(err error) error {
 // Figure 11 "service definition" made bindable.
 type Service struct {
 	spec    *core.ServiceSpec
-	schemas map[string]*codec.Schema // primitive name → compiled param record schema
+	schemas map[string]*codec.Schema // primitive name → compiled param record layout
 
 	mu    sync.Mutex
 	bound bool
@@ -140,7 +140,7 @@ func New(spec *core.ServiceSpec) (*Service, error) {
 		for i, param := range p.Params {
 			names[i] = param.Name
 		}
-		s.schemas[p.Name] = codec.CompileSchema(p.Name, names...)
+		s.schemas[p.Name] = codec.CompileRecord(names...)
 	}
 	return s, nil
 }
@@ -148,7 +148,9 @@ func New(spec *core.ServiceSpec) (*Service, error) {
 // Spec returns the service specification.
 func (s *Service) Spec() *core.ServiceSpec { return s.spec }
 
-// Schema returns the compiled parameter-record schema of a primitive.
+// Schema returns the compiled parameter-record schema of a primitive: a
+// bare record layout (codec.CompileRecord), the shape a port call or
+// oneway send carries as its argument record.
 func (s *Service) Schema(primitive string) (*codec.Schema, bool) {
 	sc, ok := s.schemas[primitive]
 	return sc, ok
@@ -286,19 +288,35 @@ func (c *portConfig) observeOut(k sim.Timebase, params codec.Record) error {
 	return nil
 }
 
-// observeIn reports an inbound interaction to the endpoint monitor.
-// Violations on the inbound path are recorded by the monitor itself (the
-// delivery already happened on the wire); they do not veto the handler.
-func (c *portConfig) observeIn(k sim.Timebase, params codec.Record) {
+// observeOutArgs is observeOut for an encoded parameter record: the
+// record is materialized for the monitor only when one is attached.
+func (c *portConfig) observeOutArgs(k sim.Timebase, args []byte) error {
+	if c.monitor == nil {
+		return nil
+	}
+	var params codec.Record
+	if v, err := codec.ParseRecord(args); err == nil {
+		params, _ = v.Fields()
+	}
+	return c.observeOut(k, params)
+}
+
+// observeInView is observeInOp for parameters still in wire form: the
+// view is materialized only when a monitor is attached.
+func (c *portConfig) observeInView(k sim.Timebase, op string, params codec.MsgView) {
 	if c.monitor == nil {
 		return
 	}
-	_ = c.monitor.Observe(core.Event{At: k.Now(), SAP: c.sap, Primitive: c.primitive, Params: params}) //nolint:errcheck // inbound violations surface via the monitor's own state
+	rec, _ := params.Fields()
+	c.observeInOp(k, op, rec)
 }
 
-// observeInOp is observeIn for multi-operation endpoints (exports): the
-// dispatched operation names the event primitive unless the config pins
-// one explicitly.
+// observeInOp reports an inbound interaction to the endpoint monitor.
+// Violations on the inbound path are recorded by the monitor itself (the
+// delivery already happened on the wire); they do not veto the handler.
+// On multi-operation endpoints (exports) the dispatched operation op
+// names the event primitive unless the config pins one explicitly;
+// single-operation endpoints pass "" and observe under their primitive.
 func (c *portConfig) observeInOp(k sim.Timebase, op string, params codec.Record) {
 	if c.monitor == nil {
 		return
