@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSDLRoundTrip -fuzztime 60s -run XXX ./internal/sdl
 	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
 	$(GO) test -fuzz FuzzLayerPDU -fuzztime 60s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzReliableLower -fuzztime 60s -run XXX ./internal/protocol
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:

@@ -174,8 +174,12 @@ func Run(cfg Config) (*Result, error) {
 		res.Latency.Add(engine.Now() - curPub)
 	}
 	const topic = "feed"
+	nodes := make([]middleware.Addr, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = middleware.Addr(fmt.Sprintf("h%d", i))
+	}
 	for s := 0; s < cfg.Subscribers; s++ {
-		node := middleware.Addr(fmt.Sprintf("h%d", s%cfg.Nodes))
+		node := nodes[s%cfg.Nodes]
 		if err := p.SubscribeTopicView(topic, node, sink); err != nil {
 			return nil, fmt.Errorf("fanout: subscribe %s: %w", node, err)
 		}

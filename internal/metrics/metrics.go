@@ -14,6 +14,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -106,34 +107,32 @@ func (h *Histogram) Add(d time.Duration) {
 }
 
 // compactLevel sorts level i and promotes alternating elements (weight
-// doubled) to level i+1, cascading if that level overflows. An odd
-// trailing element stays behind so total weight is preserved exactly.
+// doubled) straight into level i+1, cascading if that level overflows.
+// An odd trailing element stays behind so total weight is preserved
+// exactly. Levels keep their backing arrays across compactions, so once
+// every live level has grown to capacity Add allocates nothing.
 func (h *Histogram) compactLevel(i int) {
 	lv := h.levels[i]
 	sortInt64s(lv)
-	pairs := lv
-	var hold int64
-	odd := len(lv)%2 == 1
-	if odd {
-		hold = lv[len(lv)-1]
-		pairs = lv[:len(lv)-1]
-	}
+	pairs := len(lv) &^ 1
 	off := int((h.coins >> uint(i)) & 1)
 	h.coins ^= 1 << uint(i)
-	promoted := make([]int64, 0, len(pairs)/2)
-	for j := off; j < len(pairs); j += 2 {
-		promoted = append(promoted, pairs[j])
-	}
-	h.levels[i] = h.levels[i][:0]
-	if odd {
-		h.levels[i] = append(h.levels[i], hold)
-	}
 	if i+1 >= len(h.levels) {
 		h.levels = append(h.levels, nil)
 	}
-	h.levels[i+1] = append(h.levels[i+1], promoted...)
+	next := h.levels[i+1]
+	for j := off; j < pairs; j += 2 {
+		next = append(next, lv[j])
+	}
+	h.levels[i+1] = next
+	if pairs < len(lv) {
+		lv[0] = lv[pairs]
+		h.levels[i] = lv[:1]
+	} else {
+		h.levels[i] = lv[:0]
+	}
 	h.compacted = true
-	if len(h.levels[i+1]) > sketchK {
+	if len(next) > sketchK {
 		h.compactLevel(i + 1)
 	}
 }
@@ -285,10 +284,9 @@ func (h *Histogram) Summary() string {
 		h.Count())
 }
 
-// sortInt64s sorts an int64 slice ascending.
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
+// sortInt64s sorts an int64 slice ascending without allocating (the
+// compaction path runs inside Add).
+func sortInt64s(xs []int64) { slices.Sort(xs) }
 
 // Table accumulates rows and renders them with aligned columns — the
 // printed form of every reproduced figure.

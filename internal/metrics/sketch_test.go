@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -216,5 +217,98 @@ func TestTableRuneWidths(t *testing.T) {
 	// rune width of each padded data row.
 	if want := utf8.RuneCountInString(lines[2]); len(lines[1]) != want {
 		t.Fatalf("separator width %d != row rune width %d:\n%s", len(lines[1]), want, out)
+	}
+}
+
+// refSketch is the sketch's compaction schedule written the plain way —
+// every compaction collects its survivors in a fresh slice before
+// promoting them — kept as the oracle that the in-place promotion
+// leaves every level, and so every quantile, bit-identical.
+type refSketch struct {
+	levels [][]int64
+	coins  uint64
+}
+
+func (r *refSketch) add(v int64) {
+	if len(r.levels) == 0 {
+		r.levels = append(r.levels, nil)
+	}
+	r.levels[0] = append(r.levels[0], v)
+	if len(r.levels[0]) > sketchK {
+		r.compact(0)
+	}
+}
+
+func (r *refSketch) compact(i int) {
+	lv := append([]int64(nil), r.levels[i]...)
+	sortInt64s(lv)
+	var keep []int64
+	if len(lv)%2 == 1 {
+		keep = []int64{lv[len(lv)-1]}
+		lv = lv[:len(lv)-1]
+	}
+	off := int((r.coins >> uint(i)) & 1)
+	r.coins ^= 1 << uint(i)
+	var promoted []int64
+	for j := off; j < len(lv); j += 2 {
+		promoted = append(promoted, lv[j])
+	}
+	r.levels[i] = keep
+	if i+1 >= len(r.levels) {
+		r.levels = append(r.levels, nil)
+	}
+	r.levels[i+1] = append(r.levels[i+1], promoted...)
+	if len(r.levels[i+1]) > sketchK {
+		r.compact(i + 1)
+	}
+}
+
+// TestCompactionMatchesReference feeds the sketch and the reference
+// schedule the same samples and requires identical levels throughout.
+func TestCompactionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h Histogram
+	var ref refSketch
+	for i := 0; i < 300_000; i++ {
+		v := rng.Int63n(1e9)
+		h.Add(time.Duration(v))
+		ref.add(v)
+		if i%9973 != 0 {
+			continue
+		}
+		if len(h.levels) != len(ref.levels) {
+			t.Fatalf("after %d adds: %d levels, reference %d", i+1, len(h.levels), len(ref.levels))
+		}
+		for l := range h.levels {
+			got := append([]int64(nil), h.levels[l]...)
+			want := append([]int64(nil), ref.levels[l]...)
+			if l == 0 {
+				// Level 0 is an unsorted insertion buffer until queried.
+				sortInt64s(got)
+				sortInt64s(want)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("after %d adds: level %d diverges from the reference schedule", i+1, l)
+			}
+		}
+	}
+}
+
+// TestHistogramAddZeroAllocs pins the steady state of Add at zero
+// allocations: once the live levels have grown, compactions (at least
+// two per measured run) reuse their backing arrays.
+func TestHistogramAddZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var h Histogram
+	for i := 0; i < 1<<20; i++ {
+		h.Add(time.Duration(rng.Int63n(1e9)))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 2*sketchK+2; i++ {
+			h.Add(time.Duration(rng.Int63n(1e9)))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Add allocated %.1f per %d samples, want 0", allocs, 2*sketchK+2)
 	}
 }

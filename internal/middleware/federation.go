@@ -158,7 +158,7 @@ func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
 	}
 	li := ft.enroll(low, len(p.fed.leaves))
 	leaf := p.fed.leaves[li]
-	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
+	p.eventSinks = addSinkLocked(p.eventSinks, nodeID, sink)
 	p.mu.Unlock()
 	// The leaf runtime must be live before the first publish reaches it.
 	if _, err := p.ensureRuntime(leaf); err != nil {

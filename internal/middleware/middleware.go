@@ -324,8 +324,11 @@ type Platform struct {
 	nodeLows  []int32        // node id → transport endpoint id (-1 unresolved)
 	brokerID  int32          // platform node id of the broker (-1 until attached)
 
-	eventSinks [][]eventSink // node id → topic subscriptions at that node
-	queueSinks [][]queueSink // node id → queue consumers at that node
+	// Demux tables, node id → sinks at that node. Each grows to cover a
+	// node on the node's first sink, so nodes without sinks cost nothing
+	// here; ids past the end have no sinks.
+	eventSinks [][]eventSink // topic subscriptions
+	queueSinks [][]queueSink // queue consumers
 	downNodes  []bool        // node id → marked down by NodeDown
 
 	pending  map[uint64]pendingCall
@@ -417,8 +420,6 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 	p.nodes[node] = id
 	p.nodeAddrs = append(p.nodeAddrs, node)
 	p.nodeLows = append(p.nodeLows, -1)
-	p.eventSinks = append(p.eventSinks, nil)
-	p.queueSinks = append(p.queueSinks, nil)
 	p.downNodes = append(p.downNodes, false)
 	if node == p.broker {
 		p.brokerID = id
@@ -548,6 +549,25 @@ func (p *Platform) sendMultiData(from Addr, fromLow int32, tos []Addr, toLows []
 // Caller holds p.mu.
 func (p *Platform) nodeRefLocked(id int32) (Addr, int32) {
 	return p.nodeAddrs[id], p.nodeLows[id]
+}
+
+// addSinkLocked appends sink to node id's row of a demux table, growing
+// the table to cover id first. Caller holds p.mu.
+func addSinkLocked[T any](table [][]T, id int32, sink T) [][]T {
+	for int(id) >= len(table) {
+		table = append(table, nil)
+	}
+	table[id] = append(table[id], sink)
+	return table
+}
+
+// sinksLocked returns node id's row of a demux table (nil when the node
+// has no sinks). Caller holds p.mu.
+func sinksLocked[T any](table [][]T, id int32) []T {
+	if int(id) >= len(table) {
+		return nil
+	}
+	return table[id]
 }
 
 // brokerRef returns the broker's address and transport id (-1 when the

@@ -258,7 +258,7 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.Message
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	q.consumers = append(q.consumers, queueConsumer{nodeID: nodeID})
-	p.queueSinks[nodeID] = append(p.queueSinks[nodeID], queueSink{queue: queue, fn: fn})
+	p.queueSinks = addSinkLocked(p.queueSinks, nodeID, queueSink{queue: queue, fn: fn})
 	backlog := q.backlog
 	q.backlog = nil
 	p.mu.Unlock()
@@ -376,7 +376,7 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	if low < 0 {
 		t.allLow = false
 	}
-	p.eventSinks[nodeID] = append(p.eventSinks[nodeID], sink)
+	p.eventSinks = addSinkLocked(p.eventSinks, nodeID, sink)
 	return nil
 }
 
@@ -623,7 +623,7 @@ func (p *Platform) handleEnqueue(v *codec.MsgView) {
 func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 	queue, _ := v.Str("queue")
 	p.mu.Lock()
-	sinks := p.queueSinks[atID]
+	sinks := sinksLocked(p.queueSinks, atID)
 	p.mu.Unlock()
 	var fn func(codec.Message)
 	for i := range sinks {
@@ -707,7 +707,7 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 func (p *Platform) handleEvent(atID int32, v *codec.MsgView) {
 	topic, _ := v.Str("topic")
 	p.mu.Lock()
-	sinks := p.eventSinks[atID]
+	sinks := sinksLocked(p.eventSinks, atID)
 	p.mu.Unlock()
 	var msg codec.Message
 	built := false

@@ -1,0 +1,10 @@
+package network
+
+// LivePayloads reports how many shared payloads a pending delivery still
+// references: one per send call with deliveries in flight, zero once
+// every delivery has been handled.
+func (n *Network) LivePayloads() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.livePayloads
+}

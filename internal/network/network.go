@@ -67,15 +67,18 @@ type Slot = int32
 //
 // The payload slice is a pooled delivery buffer owned by the network: it
 // is valid only until the handler returns, after which it is recycled
-// for an unrelated datagram. Handlers that keep payload bytes beyond the
-// call (buffering, reassembly) must copy them; decoding with
-// internal/codec's materializing APIs copies implicitly, while MsgView
-// accessors alias and must not outlive the call.
+// for an unrelated datagram. It is also read-only: one send call's copy
+// is shared by every destination and every duplicate of that call, so
+// a handler that wrote into it would corrupt its siblings' deliveries.
+// Handlers that keep payload bytes beyond the call (buffering,
+// reassembly) must copy them; decoding with internal/codec's
+// materializing APIs copies implicitly, while MsgView accessors alias
+// and must not outlive the call.
 type Handler func(src NodeID, payload []byte)
 
 // SlotHandler is the dense-plane variant of Handler: the source is
 // identified by its slot, so the delivery path resolves no names. The
-// same payload aliasing contract as Handler applies.
+// same payload aliasing and read-only contract as Handler applies.
 type SlotHandler func(src Slot, payload []byte)
 
 // LinkConfig describes the behaviour of a directed link.
@@ -140,6 +143,17 @@ type linkState struct {
 	partitioned bool
 }
 
+// sharedPayload is the shared copy of one send call's bytes: every delivery
+// the call schedules (one per surviving destination, plus duplicates)
+// references it, and the last one to finish releases the buffer and
+// returns the payload to the network's free list. refs is guarded by
+// Network.mu.
+type sharedPayload struct {
+	buf  *codec.Buffer
+	refs int32
+	next *sharedPayload
+}
+
 // delivery is a pooled in-flight datagram: the closure scheduled on the
 // kernel is built once per pooled object and reused, so steady-state
 // delivery allocates nothing. dstInc is the destination's incarnation at
@@ -150,7 +164,7 @@ type delivery struct {
 	n        *Network
 	src, dst Slot
 	dstInc   uint32
-	buf      *codec.Buffer
+	pl       *sharedPayload
 	fn       func()
 	next     *delivery
 }
@@ -174,12 +188,11 @@ func (d *delivery) run() {
 	}
 	n.mu.Unlock()
 	if h != nil {
-		h(d.src, d.buf.B)
+		h(d.src, d.pl.buf.B)
 	}
-	buf := d.buf
-	d.buf = nil
-	buf.Release()
 	n.mu.Lock()
+	n.unrefLocked(d.pl)
+	d.pl = nil
 	d.next = n.freeDeliveries
 	n.freeDeliveries = d
 	n.mu.Unlock()
@@ -199,20 +212,23 @@ type Network struct {
 	crashed  []bool        // slot → node is currently crashed
 	incs     []uint32      // slot → incarnation number (1-based; Restart increments)
 
-	// rows is the lazily materialized link table: rows[src] is nil until
-	// some link out of src is configured, then a dense toSlot-indexed
-	// row of width rowW (a power of two grown geometrically with the
-	// node count). links/partition remain the configuration source of
-	// truth — they may name nodes registered later — and rows are the
-	// materialized fast path over registered pairs. Default-link fabrics
-	// (the common case at XL population sizes) keep every row nil and
-	// cost one pointer per node.
+	// rows is the lazily materialized link table: it stays nil until a
+	// link is first configured and then covers sources up to the
+	// highest configured one; rows[src] is nil until some link out of
+	// src is configured, then a dense toSlot-indexed row of width rowW
+	// (a power of two grown geometrically with the node count).
+	// links/partition remain the configuration source of truth — they
+	// may name nodes registered later — and rows are the materialized
+	// fast path over registered pairs. Default-link fabrics (the common
+	// case at XL population sizes) never allocate the table.
 	rows      [][]linkState
 	rowW      int
 	links     map[linkKey]LinkConfig
 	partition map[linkKey]bool
 
 	freeDeliveries *delivery
+	freePayloads   *sharedPayload
+	livePayloads   int // shared payloads some pending delivery still references
 	scratch        []sim.BatchEntry
 	stats          Stats
 }
@@ -263,7 +279,6 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	n.handlers = append(n.handlers, h)
 	n.crashed = append(n.crashed, false)
 	n.incs = append(n.incs, 1)
-	n.rows = append(n.rows, nil)
 	n.ensureRowWidthLocked(len(n.ids))
 	n.materializeNodeLocked(id, s)
 	return s, nil
@@ -381,12 +396,26 @@ func (n *Network) ensureRowWidthLocked(count int) {
 	n.rowW = w
 }
 
-// rowLocked returns the materialized link row of src, creating it on
-// first use. Only sources with explicit link configuration ever get a
-// row.
+// rowLocked returns the materialized link row of src, creating it (and
+// growing the row table to cover src) on first use. Only sources with
+// explicit link configuration ever get a row.
 func (n *Network) rowLocked(src Slot) []linkState {
+	for int(src) >= len(n.rows) {
+		n.rows = append(n.rows, nil)
+	}
 	if n.rows[src] == nil {
 		n.rows[src] = make([]linkState, n.rowW)
+	}
+	return n.rows[src]
+}
+
+// existingRowLocked returns src's link row, or nil when none was ever
+// materialized — the default-link fast path.
+//
+//repolint:hotpath
+func (n *Network) existingRowLocked(src Slot) []linkState {
+	if int(src) >= len(n.rows) {
+		return nil
 	}
 	return n.rows[src]
 }
@@ -481,7 +510,7 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 		if di, ok := n.slots[dst]; ok {
 			if cut {
 				n.rowLocked(si)[di].partitioned = true
-			} else if row := n.rows[si]; row != nil {
+			} else if row := n.existingRowLocked(si); row != nil {
 				row[di].partitioned = false
 			}
 		}
@@ -508,7 +537,8 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 	// The batch is staged in the lock-protected scratch slice: a local
 	// array would escape through the Timebase interface call and put an
 	// allocation on the per-datagram path.
-	entries, err := n.transmitLocked(n.rng, ss, ds, payload, n.scratch[:0])
+	var shared *sharedPayload
+	entries, err := n.transmitLocked(n.rng, ss, ds, payload, &shared, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
@@ -534,7 +564,8 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 	}
 	// Staged in the scratch slice, not a local array: locals escape
 	// through the Timebase interface call (see Send).
-	entries, err := n.transmitLocked(n.rng, src, dst, payload, n.scratch[:0])
+	var shared *sharedPayload
+	entries, err := n.transmitLocked(n.rng, src, dst, payload, &shared, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
@@ -559,6 +590,7 @@ func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
 		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
 	}
 	var firstErr error
+	var shared *sharedPayload
 	rng := n.rng
 	entries := n.scratch[:0]
 	for _, dst := range dsts {
@@ -570,7 +602,7 @@ func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
 			continue
 		}
 		var err error
-		entries, err = n.transmitLocked(rng, ss, ds, payload, entries)
+		entries, err = n.transmitLocked(rng, ss, ds, payload, &shared, entries)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -592,6 +624,7 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
 	var firstErr error
+	var shared *sharedPayload
 	rng := n.rng
 	entries := n.scratch[:0]
 	for _, dst := range dsts {
@@ -602,7 +635,7 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 			continue
 		}
 		var err error
-		entries, err = n.transmitLocked(rng, src, dst, payload, entries)
+		entries, err = n.transmitLocked(rng, src, dst, payload, &shared, entries)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -629,15 +662,17 @@ func (n *Network) scheduleBatch(entries []sim.BatchEntry) {
 // and duplication, and appends the resulting delivery events (0, 1 or 2)
 // to entries. It must be called with n.mu held, and consumes kernel
 // randomness in a fixed order (loss, jitter, duplicate, duplicate jitter)
-// to keep traces deterministic.
+// to keep traces deterministic. *shared is the send call's shared copy
+// of payload: nil until the call's first surviving delivery makes it,
+// then referenced by every later delivery of the same call.
 //
 //repolint:hotpath
-func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
-	// Unconfigured sources have a nil row — the default-link fast path
-	// that keeps link state O(N) on XL fabrics.
+func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, shared **sharedPayload, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
+	// Unconfigured sources have no row — the default-link fast path
+	// that keeps link state free on XL fabrics.
 	var cell *linkState
 	cfg := &n.defaultLink
-	if row := n.rows[src]; row != nil {
+	if row := n.existingRowLocked(src); row != nil {
 		cell = &row[dst]
 		if cell.explicit {
 			cfg = &cell.cfg
@@ -660,24 +695,61 @@ func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, 
 		n.stats.Dropped++
 		return entries, nil
 	}
-	buf := codec.GetBuffer()
-	buf.B = append(buf.B[:0], payload...)
-	entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, buf))
+	if *shared == nil {
+		*shared = n.sharePayloadLocked(payload)
+	}
+	entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, *shared))
 	if cfg.DuplicateRate > 0 && rng.Float64() < cfg.DuplicateRate {
-		dup := codec.GetBuffer()
-		dup.B = append(dup.B[:0], payload...)
-		entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, dup))
+		entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, *shared))
 	}
 	return entries, nil
 }
 
-// deliveryLocked draws the link jitter and builds the delivery event for
-// one datagram copy from the pooled delivery free list. It must be
-// called with n.mu held. The pooled buffer is recycled as soon as the
-// handler returns (see Handler's aliasing contract).
+// sharePayloadLocked copies one send call's payload into a pooled
+// buffer carried by a free-listed shared payload with no references
+// yet. It must be called with n.mu held.
 //
 //repolint:hotpath
-func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig, buf *codec.Buffer) sim.BatchEntry {
+func (n *Network) sharePayloadLocked(payload []byte) *sharedPayload {
+	p := n.freePayloads
+	if p != nil {
+		n.freePayloads = p.next
+		p.next = nil
+	} else {
+		p = &sharedPayload{}
+	}
+	buf := codec.GetBuffer()
+	buf.B = append(buf.B[:0], payload...)
+	p.buf = buf
+	n.livePayloads++
+	return p
+}
+
+// unrefLocked drops one delivery's reference to p; the last reference
+// releases the buffer and returns p to the free list. It must be called
+// with n.mu held.
+//
+//repolint:hotpath
+func (n *Network) unrefLocked(p *sharedPayload) {
+	p.refs--
+	if p.refs > 0 {
+		return
+	}
+	p.buf.Release()
+	p.buf = nil
+	p.next = n.freePayloads
+	n.freePayloads = p
+	n.livePayloads--
+}
+
+// deliveryLocked draws the link jitter and builds the delivery event for
+// one datagram copy from the pooled delivery free list, taking a
+// reference to the call's shared payload. It must be called with n.mu
+// held. The payload is recycled once every delivery referencing it has
+// been handled (see Handler's aliasing contract).
+//
+//repolint:hotpath
+func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig, pl *sharedPayload) sim.BatchEntry {
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += time.Duration(rng.Int63n(int64(cfg.Jitter)))
@@ -690,7 +762,8 @@ func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig,
 		d = &delivery{n: n}
 		d.fn = d.run
 	}
-	d.src, d.dst, d.buf = src, dst, buf
+	pl.refs++
+	d.src, d.dst, d.pl = src, dst, pl
 	d.dstInc = n.incs[dst]
 	// The affinity stamp is what turns this delivery into a boundary
 	// event when dst's slot lives on another shard; the single-threaded

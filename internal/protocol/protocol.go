@@ -21,7 +21,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/network"
 )
@@ -39,14 +38,18 @@ var (
 // Receiver consumes PDUs delivered by a lower service.
 //
 // The pdu slice may alias a pooled delivery buffer owned by the service
-// below: it is valid only until the receiver returns. Receivers that
-// keep PDU bytes beyond the call must copy them (codec's materializing
-// decoders copy implicitly; codec.MsgView accessors alias).
+// below: it is valid only until the receiver returns. It is read-only:
+// the network shares one copy among every destination and duplicate of
+// a send, so a receiver that wrote into it would corrupt the PDU other
+// receivers see. Receivers that keep PDU bytes beyond the call must
+// copy them (codec's materializing decoders copy implicitly;
+// codec.MsgView accessors alias).
 type Receiver func(src Addr, pdu []byte)
 
 // IndexedReceiver is the dense-plane Receiver: the source endpoint is
 // identified by the small-int id the lower service assigned it (see
-// IndexedLower). The same pdu aliasing contract as Receiver applies.
+// IndexedLower). The same pdu aliasing and read-only contract as
+// Receiver applies.
 type IndexedReceiver func(src int32, pdu []byte)
 
 // LowerService is the paper's "lower level service": it provides
@@ -116,12 +119,10 @@ type IncarnationProvider interface {
 // UnreliableDatagram adapts the simulated network directly: datagrams may
 // be lost, duplicated or reordered according to the link configuration
 // ("send and pray", §2). Its dense endpoint ids are exactly the network's
-// node slots, so the indexed paths forward with no translation at all.
+// node slots, so the indexed paths forward with no translation at all
+// and addresses resolve through the network's own slot map.
 type UnreliableDatagram struct {
 	net *network.Network
-
-	mu       sync.Mutex
-	attached map[Addr]int32 // addr → network slot
 }
 
 var (
@@ -133,7 +134,7 @@ var (
 
 // NewUnreliableDatagram wraps a simulated network as a lower service.
 func NewUnreliableDatagram(net *network.Network) *UnreliableDatagram {
-	return &UnreliableDatagram{net: net, attached: make(map[Addr]int32)}
+	return &UnreliableDatagram{net: net}
 }
 
 // Name implements LowerService.
@@ -152,38 +153,24 @@ func (u *UnreliableDatagram) Attach(addr Addr, r Receiver) error {
 }
 
 // AttachIndexed implements IndexedLower. The returned id is the network
-// slot of addr's node.
+// slot of addr's node. A node that already exists — attached before, or
+// registered outside this service — keeps its slot and has its handler
+// taken over.
 func (u *UnreliableDatagram) AttachIndexed(addr Addr, r IndexedReceiver) (int32, error) {
 	if r == nil {
 		return -1, fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	h := network.SlotHandler(r)
-	if slot, ok := u.attached[addr]; ok {
+	if slot, ok := u.net.SlotOf(addr); ok {
 		return slot, u.net.SetSlotHandler(addr, h)
 	}
-	slot, err := u.net.Register(addr, h)
-	if err != nil {
-		if errors.Is(err, network.ErrDuplicateNode) {
-			// The node exists but was registered outside this service
-			// (or by a previous wrapper): take its handler over.
-			slot, _ := u.net.SlotOf(addr)
-			u.attached[addr] = slot
-			return slot, u.net.SetSlotHandler(addr, h)
-		}
-		return -1, err
-	}
-	u.attached[addr] = slot
-	return slot, nil
+	return u.net.Register(addr, h)
 }
 
-// EndpointID implements IndexedLower.
+// EndpointID implements IndexedLower: every node of the network is an
+// endpoint of this service.
 func (u *UnreliableDatagram) EndpointID(addr Addr) (int32, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	slot, ok := u.attached[addr]
-	return slot, ok
+	return u.net.SlotOf(addr)
 }
 
 // EndpointAddr implements IndexedLower.
