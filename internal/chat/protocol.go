@@ -129,8 +129,8 @@ func (e *ParticipantEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 // BuildProtocol assembles the sequencer protocol over lower for the given
 // participant ids, returning the service boundary (bound per SAP) and the
 // layer for statistics.
-func BuildProtocol(tb sim.Timebase, lower protocol.LowerService, participants []string) (core.Provider, *protocol.Layer, error) {
-	layer := protocol.NewLayer("ordered-chat", tb, lower)
+func BuildProtocol(kernel *sim.Kernel, lower protocol.LowerService, participants []string) (core.Provider, *protocol.Layer, error) {
+	layer := protocol.NewLayer("ordered-chat", kernel, lower)
 	members := make([]protocol.Addr, len(participants))
 	for i, p := range participants {
 		members[i] = protocol.Addr(p)

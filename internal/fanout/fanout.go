@@ -7,13 +7,9 @@
 // memory.
 //
 // The workload is deterministic in Config: equal configs produce equal
-// Results, for any Shards value (the engine is an execution parameter,
-// exactly as in the floor-control workload). Deployment order is pinned
-// so transport endpoint ids equal network slots equal attach order:
-// leaves first (slots 0..L-1), then the root broker, then the publisher,
-// then the subscriber nodes. With Leaves == Shards, every leaf therefore
-// owns exactly the subscriber slots of its own engine shard and the whole
-// leaf→subscriber fan-out is shard-local work.
+// Results. Deployment order is pinned so transport endpoint ids equal
+// network slots equal attach order: leaves first (slots 0..L-1), then
+// the root broker, then the publisher, then the subscriber nodes.
 package fanout
 
 import (
@@ -27,7 +23,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Config parameterizes one fan-out execution. Zero fields take the
@@ -57,11 +52,6 @@ type Config struct {
 	Interval time.Duration
 	// Latency configures every network link.
 	Latency time.Duration
-	// Shards selects the execution engine exactly as in the
-	// floor-control workload: 0 or 1 runs one sim kernel, K>1 shards
-	// the network across K kernels. Never part of scenario identity —
-	// results are byte-identical for every K.
-	Shards int
 	// Seed fixes the simulation; equal seeds give identical runs.
 	Seed int64
 }
@@ -124,11 +114,8 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 
-	var engine sim.Engine = sim.NewKernel(sim.WithSeed(cfg.Seed))
-	if cfg.Shards > 1 {
-		engine = shard.NewGroup(cfg.Shards, shard.WithSeed(cfg.Seed))
-	}
-	net := network.New(engine, network.WithDefaultLink(network.LinkConfig{Latency: cfg.Latency}))
+	kernel := sim.NewKernel(sim.WithSeed(cfg.Seed))
+	net := network.New(kernel, network.WithDefaultLink(network.LinkConfig{Latency: cfg.Latency}))
 	transport := protocol.NewUnreliableDatagram(net)
 	profile := middleware.Profile{
 		Name:     "fanout",
@@ -142,12 +129,11 @@ func Run(cfg Config) (*Result, error) {
 	if len(leaves) > 0 {
 		opts = append(opts, middleware.WithFederation(leaves...))
 	}
-	p := middleware.New(engine, transport, profile, "root", opts...)
+	p := middleware.New(kernel, transport, profile, "root", opts...)
 
 	// Pin attach order — and therefore transport lows / network slots:
 	// leaves 0..L-1, root, publisher, then subscriber nodes. leaf = low
-	// mod L then maps leaf i to slot residue i, which is also the
-	// sharded engine's slot-affinity partition.
+	// mod L then maps leaf i to slot residue i.
 	for _, leaf := range leaves {
 		if _, err := p.AttachRuntime(leaf); err != nil {
 			return nil, fmt.Errorf("fanout: attach %s: %w", leaf, err)
@@ -164,14 +150,14 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Expected: uint64(cfg.Subscribers) * uint64(cfg.Events)}
 
 	// One shared sink closure serves every subscription: per-client
-	// state stays O(1) (the platform's demux entry) and the engine's
-	// serial dispatch makes the shared counters race-free at any K.
+	// state stays O(1) (the platform's demux entry) and the kernel's
+	// serial dispatch makes the shared counters race-free.
 	// curPub is valid because Interval > delivery depth, so no two
 	// publishes are ever in flight together.
 	var curPub time.Duration
 	sink := func(v codec.MsgView) {
 		res.Delivered++
-		res.Latency.Add(engine.Now() - curPub)
+		res.Latency.Add(kernel.Now() - curPub)
 	}
 	const topic = "feed"
 	nodes := make([]middleware.Addr, cfg.Nodes)
@@ -189,8 +175,8 @@ func Run(cfg Config) (*Result, error) {
 	var pubErr error
 	for e := 0; e < cfg.Events; e++ {
 		seq := uint64(e)
-		engine.ScheduleFunc(time.Duration(e+1)*cfg.Interval, func() {
-			curPub = engine.Now()
+		kernel.ScheduleFunc(time.Duration(e+1)*cfg.Interval, func() {
+			curPub = kernel.Now()
 			ev := codec.NewMessage("ev", codec.Record{"seq": seq, "pad": pad})
 			if err := p.Publish(pub, topic, ev); err != nil && pubErr == nil {
 				pubErr = err
@@ -198,15 +184,15 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	if _, err := engine.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
+	if _, err := kernel.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return nil, fmt.Errorf("fanout: run: %w", err)
 	}
 	if pubErr != nil {
 		return nil, fmt.Errorf("fanout: publish: %w", pubErr)
 	}
 
-	res.VirtualDuration = engine.Now()
-	res.KernelEvents = engine.Executed()
+	res.VirtualDuration = kernel.Now()
+	res.KernelEvents = kernel.Executed()
 	mst := p.Stats()
 	res.WireMessages = mst.WireMessages
 	res.WireBytes = mst.WireBytes

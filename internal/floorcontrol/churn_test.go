@@ -111,36 +111,6 @@ func TestChurnDeterminism(t *testing.T) {
 	}
 }
 
-// TestChurnShardIdentity: the fault plan rides the same deterministic
-// engine as everything else, so a churn run is byte-identical whether it
-// executes on a single kernel or a four-shard group.
-func TestChurnShardIdentity(t *testing.T) {
-	for _, name := range []string{"mw-callback", "mw-polling", "proto-token", "mda-queue-mq-like"} {
-		cfg := churnConfig(name, 7)
-		a, err := RunWorkload(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Shards = 4
-		b, err := RunWorkload(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		la, lb := a.Trace.Labels(), b.Trace.Labels()
-		if len(la) != len(lb) {
-			t.Fatalf("%s: K=1 vs K=4 trace lengths differ: %d vs %d", name, len(la), len(lb))
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Fatalf("%s: K=1 vs K=4 traces diverge at %d", name, i)
-			}
-		}
-		if a.Crashes != b.Crashes || a.Served != b.Served || a.Availability != b.Availability {
-			t.Fatalf("%s: K=1 vs K=4 churn metrics differ:\n%+v\n%+v", name, a.Summary(), b.Summary())
-		}
-	}
-}
-
 // TestChurnFailoverImprovesAvailability compares the two rebind policies
 // over a seed ensemble: live-rebinding the controller onto a standby
 // node at the crash instant must beat waiting out the repair on average.
@@ -199,7 +169,7 @@ func TestChurnRebindPolicyValidation(t *testing.T) {
 
 // TestChurnScenarioIdentity: churn parameters are workload identity —
 // they fork scenario IDs (and hence derived seeds) and surface as
-// params, in contrast to Shards which never does.
+// params.
 func TestChurnScenarioIdentity(t *testing.T) {
 	base := churnConfig("mw-callback", 0)
 	id := base.ScenarioID()
@@ -214,11 +184,6 @@ func TestChurnScenarioIdentity(t *testing.T) {
 	}
 	if !strings.Contains(fo.ScenarioID(), "/rebind=failover") {
 		t.Fatalf("ScenarioID %q missing rebind policy", fo.ScenarioID())
-	}
-	sharded := base
-	sharded.Shards = 4
-	if sharded.ScenarioID() != id {
-		t.Fatal("Shards leaked into the scenario ID")
 	}
 	var faultFree Config
 	faultFree.Solution = "mw-callback"

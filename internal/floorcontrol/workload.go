@@ -13,7 +13,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Config parameterizes one workload execution. Zero fields take the
@@ -47,18 +46,12 @@ type Config struct {
 	// solutions; defaults to ProfileCORBALike (the paper's "component
 	// middleware that supports remote invocation").
 	Profile middleware.Profile
-	// Shards selects the execution engine: 0 or 1 runs the scenario on a
-	// single sim kernel, K>1 shards the network across K kernels behind
-	// the same Timebase seam (internal/sim/shard). Shards is an execution
-	// parameter, not part of scenario identity: results are byte-identical
-	// for every K, so it never appears in scenario IDs or sweep output.
-	Shards int
 	// CrashRate enables churn: each fault subject (every subscriber node,
 	// plus the controller node of solutions that support failover) crashes
 	// at this rate per second of virtual time, alternating with repairs of
-	// mean duration MTTR. Zero disables the fault plan entirely — churn
-	// parameters ARE workload identity (unlike Shards), so they appear in
-	// scenario IDs and fold into derived seeds.
+	// mean duration MTTR. Zero disables the fault plan entirely. Churn
+	// parameters are workload identity, so they appear in scenario IDs
+	// and fold into derived seeds.
 	CrashRate float64
 	// MTTR is the mean time to repair a crashed node. Defaults to 100ms
 	// when churn is enabled.
@@ -209,7 +202,7 @@ type Result struct {
 }
 
 // faultSeedSalt decorrelates the fault plan's RNG stream from the
-// engine's, which is seeded with the same cfg.Seed.
+// kernel's, which is seeded with the same cfg.Seed.
 const faultSeedSalt = 0x6661756c74 // "fault"
 
 // scheduleChurn derives the deterministic fault plan for a churn run and
@@ -220,8 +213,7 @@ const faultSeedSalt = 0x6661756c74 // "fault"
 // protocol and MDA solutions keep their coordination behind the service
 // boundary with no per-solution recovery hook, so only their subscriber
 // nodes churn. The plan is drawn from a salted RNG independent of the
-// engine and of shard count, so churn runs stay byte-identical for
-// every K.
+// kernel's, so drawing it perturbs no link jitter or think time.
 func scheduleChurn(cfg Config, sol Solution, env *Env, res *Result,
 	transport protocol.LowerService, crashedSub map[string]bool, parked map[string]func()) error {
 	rb, rebindable := sol.(ControllerFailover)
@@ -317,15 +309,12 @@ func RunWorkload(cfg Config) (*Result, error) {
 func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 
-	var engine sim.Engine = sim.NewKernel(sim.WithSeed(cfg.Seed))
-	if cfg.Shards > 1 {
-		engine = shard.NewGroup(cfg.Shards, shard.WithSeed(cfg.Seed))
-	}
-	net := network.New(engine, network.WithDefaultLink(network.LinkConfig{
+	kernel := sim.NewKernel(sim.WithSeed(cfg.Seed))
+	net := network.New(kernel, network.WithDefaultLink(network.LinkConfig{
 		Latency:  cfg.Latency,
 		LossRate: cfg.LossRate,
 	}))
-	observer, err := core.NewObserver(Spec(), engine)
+	observer, err := core.NewObserver(Spec(), kernel)
 	if err != nil {
 		return nil, fmt.Errorf("floorcontrol: observer: %w", err)
 	}
@@ -336,7 +325,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	}
 
 	env := &Env{
-		Time:          engine,
+		Time:          kernel,
 		Net:           net,
 		Observer:      observer,
 		Subscribers:   SubscriberNames(cfg.Subscribers),
@@ -345,13 +334,13 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		TokenHopDelay: cfg.TokenHopDelay,
 		Churn:         churn,
 	}
-	var transport protocol.LowerService = protocol.NewReliableDatagram(engine, protocol.NewUnreliableDatagram(net), protocol.ReliableDatagramConfig{})
+	var transport protocol.LowerService = protocol.NewReliableDatagram(kernel, protocol.NewUnreliableDatagram(net), protocol.ReliableDatagramConfig{})
 	if cfg.RawTransport {
 		transport = protocol.NewUnreliableDatagram(net)
 	}
 	switch sol.Paradigm() {
 	case ParadigmMiddleware:
-		env.Platform = middleware.New(engine, transport, cfg.Profile, "mw-broker")
+		env.Platform = middleware.New(kernel, transport, cfg.Profile, "mw-broker")
 	case ParadigmProtocol, ParadigmMDA:
 		env.Lower = transport
 	}
@@ -379,7 +368,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		if d <= 0 {
 			return 0
 		}
-		return d/2 + time.Duration(engine.Rand().Int63n(int64(d)))
+		return d/2 + time.Duration(kernel.Rand().Int63n(int64(d)))
 	}
 
 	// Frozen-node discipline: while a subscriber's node is crashed, its
@@ -402,16 +391,16 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 	advance := func(sub string, part AppPart, cycle int) {
 		remaining--
 		if remaining == 0 {
-			engine.Stop()
+			kernel.Stop()
 		} else if cycle+1 < cfg.Cycles {
 			runCycle(sub, part, cycle+1)
 		}
 	}
 	runCycle = func(sub string, part AppPart, cycle int) {
-		engine.ScheduleFunc(jitter(cfg.ThinkTime), func() {
+		kernel.ScheduleFunc(jitter(cfg.ThinkTime), func() {
 			step(sub, func() {
-				target := env.Resources[engine.Rand().Intn(len(env.Resources))]
-				start := engine.Now()
+				target := env.Resources[kernel.Rand().Intn(len(env.Resources))]
+				start := kernel.Now()
 				if churn {
 					res.Offered++
 				}
@@ -433,13 +422,13 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 						})
 						return
 					}
-					elapsed := engine.Now() - start
+					elapsed := kernel.Now() - start
 					if churn {
 						res.Served++
 					}
 					res.AcquireLatency.Add(elapsed)
 					res.LatencyBySubscriber[sub].Add(elapsed)
-					engine.ScheduleFunc(jitter(cfg.HoldTime), func() {
+					kernel.ScheduleFunc(jitter(cfg.HoldTime), func() {
 						step(sub, func() {
 							part.Release(target)
 							res.Completed++
@@ -448,7 +437,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 					})
 				})
 				if churn {
-					engine.ScheduleFunc(cfg.AcquireTimeout, func() {
+					kernel.ScheduleFunc(cfg.AcquireTimeout, func() {
 						if !granted {
 							timedOut = true
 						}
@@ -464,7 +453,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		}
 		runCycle(sub, part, 0)
 	}
-	engine.ScheduleFunc(cfg.Deadline, func() { engine.Stop() })
+	kernel.ScheduleFunc(cfg.Deadline, func() { kernel.Stop() })
 
 	if churn {
 		if err := scheduleChurn(cfg, sol, env, res, transport, crashedSub, parked); err != nil {
@@ -472,12 +461,12 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		}
 	}
 
-	if _, err := engine.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
+	if _, err := kernel.Run(); err != nil && !errors.Is(err, sim.ErrStopped) {
 		return nil, fmt.Errorf("floorcontrol: run %s: %w", sol.Name(), err)
 	}
 
-	res.VirtualDuration = engine.Now()
-	res.KernelEvents = engine.Executed()
+	res.VirtualDuration = kernel.Now()
+	res.KernelEvents = kernel.Executed()
 	st := net.Stats()
 	res.NetMessages = st.Sent
 	res.NetBytes = st.BytesSent

@@ -86,7 +86,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 		}
 		p.stats.Unavailables++
 		p.mu.Unlock()
-		p.scheduleFunc(0, func() {
+		p.kernel.ScheduleFunc(0, func() {
 			cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 		})
 		return nil
@@ -95,7 +95,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	id := p.nextCall
 	pc := pendingCall{cont: cont, node: reg.nodeID, caller: fromID}
 	if p.profile.CallTimeout > 0 {
-		pc.timer = p.scheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
+		pc.timer = p.kernel.ScheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
@@ -404,7 +404,7 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
 		d.buf = buf
-		p.scheduleFunc(overhead, d.fn)
+		p.kernel.ScheduleFunc(overhead, d.fn)
 		return
 	}
 	p.handleWire(srcAddr, srcLow, atID, data)

@@ -83,7 +83,7 @@ func TestBandFileChurnOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scenarioIDs(ChurnBandWith([]float64{1, 10}, []time.Duration{100 * time.Millisecond}, 0))
+	want := scenarioIDs(ChurnBandWith([]float64{1, 10}, []time.Duration{100 * time.Millisecond}))
 	got := scenarioIDs(scenarios)
 	if len(got) != len(want) {
 		t.Fatalf("override band expands to %d scenarios, want %d", len(got), len(want))
@@ -121,26 +121,6 @@ band second {
 	if scenarios[0].ID != first[0].ID || scenarios[1].ID != second[0].ID {
 		t.Fatalf("bands out of order: got [%s %s], want [%s %s]",
 			scenarios[0].ID, scenarios[1].ID, first[0].ID, second[0].ID)
-	}
-}
-
-// TestBandFileShardsAreExecutionOnly pins that the shard selector
-// threads into expansion without touching scenario identity.
-func TestBandFileShardsAreExecutionOnly(t *testing.T) {
-	src := readBandFile(t, "default.band")
-	flat, err := BandFileScenarios(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := BandFileScenarios(src, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := scenarioIDs(flat), scenarioIDs(sharded)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scenario %d identity changed with shards: %q vs %q", i, a[i], b[i])
-		}
 	}
 }
 

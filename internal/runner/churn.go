@@ -22,10 +22,11 @@ var (
 // headline metric is availability (served/offered within the acquire
 // timeout); the gate is zero safety violations across the whole band.
 // Churn parameters are workload identity, so every grid point gets a
-// distinct scenario ID and derived seed; shards stays an execution
-// parameter and the band's CSV is byte-identical for every value.
-func ChurnBand(shards int) []Scenario {
-	return ChurnBandWith(nil, nil, shards)
+// distinct scenario ID and derived seed. The int parameter is ignored:
+// it once selected the execution engine, which never changed any
+// output, and it stays only so existing callers keep compiling.
+func ChurnBand(_ int) []Scenario {
+	return ChurnBandWith(nil, nil)
 }
 
 // ChurnBandWith expands the churn band over explicit crash-rate and
@@ -33,7 +34,7 @@ func ChurnBand(shards int) []Scenario {
 // cmd/sweep's -crash and -mttr overrides. Expansion order is
 // deterministic: solution, then rebind policy, then crash rate, then
 // MTTR.
-func ChurnBandWith(rates []float64, mttrs []time.Duration, shards int) []Scenario {
+func ChurnBandWith(rates []float64, mttrs []time.Duration) []Scenario {
 	if len(rates) == 0 {
 		rates = defaultChurnRates
 	}
@@ -60,7 +61,6 @@ func ChurnBandWith(rates []float64, mttrs []time.Duration, shards int) []Scenari
 						CrashRate:    rate,
 						MTTR:         mttr,
 						RebindPolicy: policy,
-						Shards:       shards,
 					}))
 				}
 			}

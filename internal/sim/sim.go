@@ -196,11 +196,6 @@ func (r TimerRef) Pending() bool {
 type BatchEntry struct {
 	Delay time.Duration
 	Fn    func()
-	// Aff optionally names the routing key (a network slot) this event
-	// belongs to; see Affinity. The single-threaded kernel ignores it; a
-	// sharded engine routes the event to the shard owning the key, which
-	// is how a cross-shard network delivery becomes a boundary event.
-	Aff Affinity
 }
 
 // Kernel is a deterministic discrete-event scheduler over virtual time.
@@ -436,8 +431,7 @@ func (k *Kernel) RunUntil(deadline time.Duration) (int, error) {
 }
 
 // run executes events while cond (evaluated under the lock, with a
-// non-empty queue) holds; a nil cond means "always" and skips the
-// per-pop indirect call on the unconditional Run path.
+// non-empty queue, once per instant) holds; a nil cond means "always".
 //
 // Each loop iteration pops every event of the earliest instant into a
 // batch in one critical section and executes the batch outside the lock:
@@ -469,12 +463,7 @@ func (k *Kernel) run(cond func() bool) (int, error) {
 		}
 		at := k.queue.min().at
 		k.now = at
-		// cond is re-evaluated per pop, not just per instant: a claim
-		// bound (RunCond) may fall inside an instant when another shard
-		// holds an interleaved sequence number, and the batch must stop
-		// exactly there. Run's constant-true and RunUntil's same-instant
-		// condition make the extra checks free of behaviour change.
-		for k.queue.len() > 0 && k.queue.min().at == at && (cond == nil || cond()) {
+		for k.queue.len() > 0 && k.queue.min().at == at {
 			t := k.queue.popMin()
 			t.state.Store(stateRunnable)
 			k.batch = append(k.batch, t)

@@ -604,3 +604,39 @@ func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 		t.Fatal("ref cancelled within its own batch still fired")
 	}
 }
+
+func TestEventLimitAbortsMidBatch(t *testing.T) {
+	k := NewKernel(WithEventLimit(2))
+	var got []int
+	for i := 0; i < 4; i++ {
+		i := i
+		k.ScheduleFunc(time.Millisecond, func() { got = append(got, i) })
+	}
+	// All four share one instant, so the limit trips mid-batch and the
+	// unexecuted tail must go back into the heap under its original keys.
+	n, err := k.Run()
+	if err == nil || n != 2 {
+		t.Fatalf("limited Run = (%d, %v), want 2 events and a limit error", n, err)
+	}
+	if k.Pending() != 2 {
+		t.Fatalf("Pending = %d after mid-batch abort, want 2", k.Pending())
+	}
+	// The limit bounds each Run call, so the next call replays the tail.
+	if n, err := k.Run(); err != nil || n != 2 {
+		t.Fatalf("replay Run = (%d, %v), want (2, nil)", n, err)
+	}
+	want := []int{0, 1, 2, 3} // replay preserves the original FIFO order
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order %v, want %v", got, want)
+		}
+	}
+}
+
+func TestTimerWhen(t *testing.T) {
+	k := NewKernel()
+	tm := k.Schedule(7*time.Millisecond, func() {})
+	if tm.When() != 7*time.Millisecond {
+		t.Fatalf("When = %v, want 7ms", tm.When())
+	}
+}

@@ -159,14 +159,14 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 		return fmt.Errorf("svc: port %s.%s: encode request: %w", p.target, p.op, err) //repolint:allow alloc -- cold: encoder rejected the request
 	}
 	s.keepArgs(args)
-	if err := p.cfg.observeOutArgs(p.b.tb, args); err != nil {
+	if err := p.cfg.observeOutArgs(p.b.kernel, args); err != nil {
 		p.putState(s)
 		return err
 	}
 	s.cont = cont
 	if p.cfg.deadline > 0 {
 		s.deadline = true
-		s.timer = p.b.tb.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
+		s.timer = p.b.kernel.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
 	}
 	if err := p.b.plat.Invoke(from, p.target, p.op, args, s.onReply); err != nil {
 		s.timer.Cancel()
@@ -451,7 +451,7 @@ func (e *Export) object() middleware.Object {
 			reply(nil, fmt.Errorf("%w: %q", middleware.ErrUnknownOperation, op))
 			return
 		}
-		e.cfg.observeInView(e.b.tb, op, args)
+		e.cfg.observeInView(e.b.kernel, op, args)
 		fn(args, reply)
 	})
 }

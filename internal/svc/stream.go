@@ -101,19 +101,19 @@ func (s *Sink[T]) Send(from middleware.Addr, v T) error {
 			return fmt.Errorf("svc: oneway sink %s.%s: encode: %w", s.target, s.op, err)
 		}
 		buf.B = args
-		if err := s.cfg.observeOutArgs(s.b.tb, args); err != nil {
+		if err := s.cfg.observeOutArgs(s.b.kernel, args); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.InvokeOneway(from, s.target, s.op, args))
 	case sinkQueue:
 		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.tb, m.Fields); err != nil {
+		if err := s.cfg.observeOut(s.b.kernel, m.Fields); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.QueuePut(from, s.name, m))
 	case sinkTopic:
 		m := s.encMsg(v)
-		if err := s.cfg.observeOut(s.b.tb, m.Fields); err != nil {
+		if err := s.cfg.observeOut(s.b.kernel, m.Fields); err != nil {
 			return err
 		}
 		return wrapErr(s.b.plat.Publish(from, s.name, m))
@@ -165,7 +165,7 @@ func NewQueueSource[T any](b *Binding, queue string, node middleware.Addr,
 			return
 		}
 		src.received++
-		src.cfg.observeInOp(b.tb, "", m.Fields)
+		src.cfg.observeInOp(b.kernel, "", m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)
@@ -201,7 +201,7 @@ func NewTopicSource[T any](b *Binding, topic string, node middleware.Addr,
 		if src.cfg.monitor != nil {
 			// Materialize the params only when a monitor is watching.
 			fields, _ := v.RecordView("fields")
-			src.cfg.observeInView(b.tb, "", fields)
+			src.cfg.observeInView(b.kernel, "", fields)
 		}
 		fn(val)
 	}); err != nil {
@@ -234,7 +234,7 @@ func NewTopicSourceMessages[T any](b *Binding, topic string, node middleware.Add
 			return
 		}
 		src.received++
-		src.cfg.observeInOp(b.tb, "", m.Fields)
+		src.cfg.observeInOp(b.kernel, "", m.Fields)
 		fn(v)
 	}); err != nil {
 		return nil, wrapErr(err)

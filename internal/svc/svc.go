@@ -181,7 +181,7 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 		return nil, &classed{class: ErrAlreadyBound, cause: fmt.Errorf("service %q", s.spec.Name)}
 	}
 	s.bound = true
-	return &Binding{svc: s, plat: p, tb: p.Time()}, nil
+	return &Binding{svc: s, plat: p, kernel: p.Time()}, nil
 }
 
 // Binding is a Service bound to one middleware platform: the factory for
@@ -189,9 +189,9 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 // deliberately not exposed — the binding is the application's whole
 // window onto the middleware.
 type Binding struct {
-	svc  *Service
-	plat *middleware.Platform
-	tb   sim.Timebase
+	svc    *Service
+	plat   *middleware.Platform
+	kernel *sim.Kernel
 }
 
 // Service returns the bound service declaration.
@@ -277,7 +277,7 @@ func (b *Binding) applyOptions(op string, opts []PortOption) (portConfig, error)
 
 // observeOut reports an outbound interaction to the endpoint monitor,
 // vetoing on error.
-func (c *portConfig) observeOut(k sim.Timebase, params codec.Record) error {
+func (c *portConfig) observeOut(k *sim.Kernel, params codec.Record) error {
 	if c.monitor == nil {
 		return nil
 	}
@@ -290,7 +290,7 @@ func (c *portConfig) observeOut(k sim.Timebase, params codec.Record) error {
 
 // observeOutArgs is observeOut for an encoded parameter record: the
 // record is materialized for the monitor only when one is attached.
-func (c *portConfig) observeOutArgs(k sim.Timebase, args []byte) error {
+func (c *portConfig) observeOutArgs(k *sim.Kernel, args []byte) error {
 	if c.monitor == nil {
 		return nil
 	}
@@ -303,7 +303,7 @@ func (c *portConfig) observeOutArgs(k sim.Timebase, args []byte) error {
 
 // observeInView is observeInOp for parameters still in wire form: the
 // view is materialized only when a monitor is attached.
-func (c *portConfig) observeInView(k sim.Timebase, op string, params codec.MsgView) {
+func (c *portConfig) observeInView(k *sim.Kernel, op string, params codec.MsgView) {
 	if c.monitor == nil {
 		return
 	}
@@ -317,7 +317,7 @@ func (c *portConfig) observeInView(k sim.Timebase, op string, params codec.MsgVi
 // On multi-operation endpoints (exports) the dispatched operation op
 // names the event primitive unless the config pins one explicitly;
 // single-operation endpoints pass "" and observe under their primitive.
-func (c *portConfig) observeInOp(k sim.Timebase, op string, params codec.Record) {
+func (c *portConfig) observeInOp(k *sim.Kernel, op string, params codec.Record) {
 	if c.monitor == nil {
 		return
 	}
