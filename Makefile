@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPlatformWire -fuzztime 60s -run XXX ./internal/middleware
 	$(GO) test -fuzz FuzzLayerPDU -fuzztime 60s -run XXX ./internal/protocol
 	$(GO) test -fuzz FuzzReliableLower -fuzztime 60s -run XXX ./internal/protocol
+	$(GO) test -fuzz FuzzBandfile -fuzztime 60s -run XXX ./internal/bandfile
 
 # Coverage profile + per-function summary (the CI coverage job).
 cover:
@@ -184,6 +185,6 @@ help:
 	@echo "sweep-churn      the crash/restart robustness band (availability + safety gate)"
 	@echo "linkcheck        verify relative links + anchors in the top-level docs"
 	@echo "profile          CPU+alloc profiles of the full sweep"
-	@echo "fuzz             bounded kernel + codec + SDL + wire-receive fuzzing"
+	@echo "fuzz             bounded kernel + codec + SDL + band-file + wire-receive fuzzing"
 	@echo "cover            coverage profile + per-function summary"
 	@echo "fig              regenerate every paper figure"

@@ -55,7 +55,7 @@ type user struct {
 
 func (u *user) Granted(g floorcontrol.GrantedParams, respond func(floorcontrol.Ack, error)) {
 	respond(floorcontrol.Ack{}, nil)
-	u.k.ScheduleFunc(time.Millisecond, func() {
+	u.k.Schedule(time.Millisecond, func() {
 		if err := u.free.Call("node-user", floorcontrol.FreeParams{Resid: g.Resid}, u.onAck); err != nil {
 			u.err = err
 			return

@@ -17,17 +17,13 @@
 //     order-sensitive output (slice appends, float accumulation,
 //     writes, channel sends) with no subsequent sort. Check: mapiter.
 //   - poolalias — enforce the borrowed-buffer aliasing contracts: a
-//     []byte received through network.Handler, protocol.Receiver, a
-//     codec.Visitor method, or a codec.MsgView accessor must not be
-//     retained; every codec.GetBuffer must be released or handed off.
+//     []byte received through network.Handler, protocol.Receiver, or a
+//     codec.MsgView accessor must not be retained, nor may a codec.MsgView
+//     parameter; every codec.GetBuffer must be released or handed off.
 //     Checks: poolalias, bufleak.
 //   - hotpathalloc — in functions annotated //repolint:hotpath, reject
 //     allocating constructs (closures, fmt, interface boxing, map
 //     literals, un-presized appends into fresh slices). Check: alloc.
-//   - legacycodec — outside internal/codec, flag references to the
-//     deprecated reflective entry points codec.Encode, codec.Decode,
-//     and codec.DecodeMessage; new code goes through the compiled
-//     schema and zero-copy MsgView planes. Check: legacycodec.
 //   - allowcheck — validate the //repolint: directives themselves:
 //     unknown check names, empty allow lists, misplaced hotpath
 //     annotations. Check: allowdecl.

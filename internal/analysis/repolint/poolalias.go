@@ -13,8 +13,7 @@ import (
 // DESIGN.md §1.2–1.3 and at the top of internal/codec/view.go:
 //
 //   - A []byte received through a network.Handler or protocol.Receiver
-//     parameter, a codec.Visitor method (Str/Bytes/Key), or a
-//     codec.MsgView borrowing accessor (Name/Str/Bytes/Raw, the nested
+//     parameter, or through a codec.MsgView borrowing accessor (Name/Str/Bytes/Raw, the nested
 //     RecordView/StrList views, StrIter.Next) aliases a pooled delivery
 //     buffer; so does every codec.MsgView (or *codec.MsgView) parameter
 //     — the view-taking shapes Entity.FromPeer, Object.Dispatch, the
@@ -68,26 +67,18 @@ func isViewType(t types.Type) bool {
 	return false
 }
 
-// visitorBorrowMethods are the codec.Visitor methods whose []byte
-// argument aliases the input buffer.
-var visitorBorrowMethods = map[string]bool{
-	"Str": true, "Bytes": true, "Key": true,
-}
-
 func runPoolalias(pass *analysis.Pass) (any, error) {
 	allows := CollectAllows(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.FuncLit)(nil)}, func(n ast.Node) {
 		var body *ast.BlockStmt
 		var sig *types.Signature
-		var funcName string
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			body = fn.Body
 			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
 				sig, _ = obj.Type().(*types.Signature)
 			}
-			funcName = fn.Name.Name
 		case *ast.FuncLit:
 			body = fn.Body
 			sig, _ = pass.TypesInfo.TypeOf(fn).(*types.Signature)
@@ -95,7 +86,7 @@ func runPoolalias(pass *analysis.Pass) (any, error) {
 		if body == nil || sig == nil || isTestFile(pass.Fset, n.Pos()) {
 			return
 		}
-		borrowed := borrowedParams(sig, funcName)
+		borrowed := borrowedParams(sig)
 		collectViewBorrows(pass, body, borrowed)
 		if len(borrowed) > 0 {
 			checkRetention(pass, allows, body, borrowed)
@@ -110,23 +101,16 @@ func runPoolalias(pass *analysis.Pass) (any, error) {
 //
 //	func(src network.NodeID, payload []byte)   — network.Handler
 //	func(src protocol.Addr, pdu []byte)        — protocol.Receiver
-//	method Str/Bytes/Key([]byte) error         — codec.Visitor
 //
 // Matching is structural (parameter types, not the named function
 // type), so implementations are caught wherever they are declared.
-func borrowedParams(sig *types.Signature, name string) map[types.Object]bool {
+func borrowedParams(sig *types.Signature) map[types.Object]bool {
 	borrowed := make(map[types.Object]bool)
 	p := sig.Params()
 	handlerShape := p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) &&
 		(isNamed(p.At(0).Type(), networkPath, "NodeID") || isNamed(p.At(0).Type(), protocolPath, "Addr"))
-	visitorShape := sig.Recv() != nil && visitorBorrowMethods[name] &&
-		p.Len() == 1 && isByteSlice(p.At(0).Type()) &&
-		sig.Results().Len() == 1 && isErrorType(sig.Results().At(0).Type())
 	if handlerShape {
 		borrowed[p.At(1)] = true
-	}
-	if visitorShape {
-		borrowed[p.At(0)] = true
 	}
 	// Also mark SlotHandler-shaped callbacks: func(src network.Slot, payload []byte).
 	if p.Len() == 2 && sig.Results().Len() == 0 && isByteSlice(p.At(1).Type()) && isNamed(p.At(0).Type(), networkPath, "Slot") {
@@ -573,10 +557,6 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-func isErrorType(t types.Type) bool {
-	return t.String() == "error"
 }
 
 // isPkgFunc reports whether call invokes the package-level function

@@ -1,5 +1,5 @@
-// Package mw is golden test data for the poolalias analyzer: handlers,
-// visitors, and MsgView consumers that retain borrowed []byte slices,
+// Package mw is golden test data for the poolalias analyzer: handlers
+// and MsgView consumers that retain borrowed []byte slices,
 // next to the copy idioms that legalize retention, and GetBuffer
 // acquisitions that leak, release, or hand off.
 package mw
@@ -83,28 +83,6 @@ func onSlot(src network.Slot, payload []byte) {
 func firstName(v *codec.MsgView) []byte {
 	b, _ := v.Str("name")
 	return b // want `poolalias: "b" .* must not be returned`
-}
-
-// collector implements the codec.Visitor borrowing methods.
-type collector struct {
-	keys [][]byte
-	key  []byte
-	n    int
-}
-
-func (c *collector) Str(b []byte) error {
-	c.keys = append(c.keys, b) // want `poolalias: "b" .* must not be stored in field "keys"`
-	return nil
-}
-
-func (c *collector) Bytes(b []byte) error {
-	c.n += len(b)
-	return nil
-}
-
-func (c *collector) Key(b []byte) error {
-	c.key = append(c.key[:0], b...)
-	return nil
 }
 
 // --- view-taking signatures: FromPeer, Dispatch, reply continuations

@@ -161,7 +161,7 @@ func TestSequencerEntityRejectsBadPDU(t *testing.T) {
 	if err := e.FromUser(PrimSay, nil); err == nil {
 		t.Fatal("sequencer accepted a service user")
 	}
-	wire, err := codec.EncodeMessage(codec.Message{Name: "bogus"})
+	wire, err := codec.AppendMessage(nil, codec.Message{Name: "bogus"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 		})
 		for m := 0; m < cfg.MessagesEach; m++ {
 			m := m
-			kernel.ScheduleFunc(time.Duration(kernel.Rand().Int63n(int64(cfg.Spread))), func() {
+			kernel.Schedule(time.Duration(kernel.Rand().Int63n(int64(cfg.Spread))), func() {
 				id := fmt.Sprintf("%s-%d", pid, m)
 				saidAt[id] = kernel.Now()
 				params := codec.Record{

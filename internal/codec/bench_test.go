@@ -40,22 +40,11 @@ func benchFieldsRecord() Record {
 	return Record{"subid": "subscriber-17", "resid": "resource-3", "seq": int64(12345)}
 }
 
-// benchWire returns the canonical wire form of the representative
-// message (identical whichever encoder produced it).
-func benchWire(b *testing.B) []byte {
-	b.Helper()
-	data, err := EncodeMessage(NewMessage(benchName, benchFieldsRecord()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
-}
-
 // benchEventWire is the full pub/sub envelope: fields is the nested
 // application record.
 func benchEventWire(b *testing.B) []byte {
 	b.Helper()
-	data, err := EncodeMessage(NewMessage("mw.event", Record{
+	data, err := AppendMessage(nil, NewMessage("mw.event", Record{
 		"topic": benchTopic, "name": benchName, "fields": benchFieldsRecord(),
 	}))
 	if err != nil {
@@ -64,34 +53,11 @@ func benchEventWire(b *testing.B) []byte {
 	return data
 }
 
-// BenchmarkEncodeMessage is the legacy boxed encode path (pre-PR
-// baseline for the schema path's speedup).
-func BenchmarkEncodeMessage(b *testing.B) {
-	m := NewMessage(benchName, benchFieldsRecord())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeMessage(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeMessage is the legacy boxed decode path.
-func BenchmarkDecodeMessage(b *testing.B) {
-	data := benchWire(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMessage(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchemaEncode is the compiled-schema encode of the event
 // envelope into a reused buffer, with the nested record spliced raw —
 // the middleware fan-out path. Steady state must be 0 allocs/op.
 func BenchmarkSchemaEncode(b *testing.B) {
-	inner, err := Encode(benchFieldsRecord())
+	inner, err := Append(nil, benchFieldsRecord())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -135,11 +101,10 @@ func BenchmarkViewDecode(b *testing.B) {
 
 // BenchmarkCodecRoundTrip is the acceptance benchmark: encode one
 // representative middleware message through the compiled schema into a
-// pooled buffer, then decode it through the view, per op. Steady state
-// must be 0 allocs/op and ≥2× faster than the legacy
-// EncodeMessage+DecodeMessage pair (BenchmarkLegacyRoundTrip).
+// pooled buffer, then decode it through the view, per op — the path
+// every PDU and RPC payload takes. Steady state must be 0 allocs/op.
 func BenchmarkCodecRoundTrip(b *testing.B) {
-	inner, err := Encode(benchFieldsRecord())
+	inner, err := Append(nil, benchFieldsRecord())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,41 +131,5 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		}
 		buf.B = wire
 		buf.Release()
-	}
-}
-
-// BenchmarkLegacyRoundTrip is the boxed EncodeMessage+DecodeMessage pair
-// on the same envelope — the pre-PR data plane, kept as the comparison
-// point for BenchmarkCodecRoundTrip.
-func BenchmarkLegacyRoundTrip(b *testing.B) {
-	m := NewMessage("mw.event", Record{
-		"topic": benchTopic, "name": benchName, "fields": benchFieldsRecord(),
-	})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wire, err := EncodeMessage(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeMessage(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeIntoVisitor walks the envelope through the streaming
-// visitor without materializing. Steady state must be 0 allocs/op.
-func BenchmarkDecodeIntoVisitor(b *testing.B) {
-	data := benchEventWire(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// A message is two concatenated values: name, then fields.
-		n, err := DecodePrefixInto(data, nopVis)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := DecodeInto(data[n:], nopVis); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -12,13 +11,13 @@ import (
 
 func roundTrip(t *testing.T, v Value) Value {
 	t.Helper()
-	data, err := Encode(v)
+	data, err := Append(nil, v)
 	if err != nil {
-		t.Fatalf("Encode(%v): %v", v, err)
+		t.Fatalf("Append(nil, %v): %v", v, err)
 	}
-	out, err := Decode(data)
+	out, err := decodeOne(data)
 	if err != nil {
-		t.Fatalf("Decode(Encode(%v)): %v", v, err)
+		t.Fatalf("decodeOne(Append(nil, %v)): %v", v, err)
 	}
 	return out
 }
@@ -88,18 +87,18 @@ func TestRoundTripComposites(t *testing.T) {
 func TestCanonicalRecordEncoding(t *testing.T) {
 	a := Record{"x": int64(1), "y": int64(2), "z": "s"}
 	b := Record{"z": "s", "y": int64(2), "x": int64(1)}
-	ea, eb := MustEncode(a), MustEncode(b)
+	ea, eb := mustAppend(a), mustAppend(b)
 	if !reflect.DeepEqual(ea, eb) {
 		t.Fatal("record encoding not canonical under key order")
 	}
 }
 
 func TestUnsupportedType(t *testing.T) {
-	_, err := Encode(struct{ X int }{1})
+	_, err := Append(nil, struct{ X int }{1})
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
-	_, err = Encode(Record{"k": make(chan int)})
+	_, err = Append(nil, Record{"k": make(chan int)})
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("nested err = %v, want ErrUnsupported", err)
 	}
@@ -110,7 +109,7 @@ func TestDepthLimit(t *testing.T) {
 	for i := 0; i < maxDepth+2; i++ {
 		v = List{v}
 	}
-	if _, err := Encode(v); !errors.Is(err, ErrDepth) {
+	if _, err := Append(nil, v); !errors.Is(err, ErrDepth) {
 		t.Fatalf("encode err = %v, want ErrDepth", err)
 	}
 	// Hand-roll a deep encoding to hit the decode-side limit: each level is
@@ -120,7 +119,7 @@ func TestDepthLimit(t *testing.T) {
 		data = append(data, tagList, 1)
 	}
 	data = append(data, tagNil)
-	if _, err := Decode(data); !errors.Is(err, ErrDepth) {
+	if _, err := decodeOne(data); !errors.Is(err, ErrDepth) {
 		t.Fatalf("decode err = %v, want ErrDepth", err)
 	}
 }
@@ -139,36 +138,35 @@ func TestDecodeErrors(t *testing.T) {
 		{"list size lies", []byte{tagList, 100}, ErrSize},
 		{"record size lies", []byte{tagRecord, 100}, ErrSize},
 		{"record non-string key", []byte{tagRecord, 1, tagInt, 2, tagNil}, ErrBadTag},
-		{"trailing", append(MustEncode(int64(1)), 0x00), ErrTrailing},
+		{"trailing", append(mustAppend(int64(1)), 0x00), ErrTrailing},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Decode(tt.data); !errors.Is(err, tt.want) {
-				t.Fatalf("Decode(% x) err = %v, want %v", tt.data, err, tt.want)
+			if _, err := decodeOne(tt.data); !errors.Is(err, tt.want) {
+				t.Fatalf("decodeOne(% x) err = %v, want %v", tt.data, err, tt.want)
 			}
 		})
 	}
 }
 
 func TestDecodePrefix(t *testing.T) {
-	buf := MustEncode(int64(7))
-	buf = append(buf, MustEncode("next")...)
-	v, n, err := DecodePrefix(buf)
+	buf := mustAppend(int64(7))
+	buf = append(buf, mustAppend("next")...)
+	v, n, err := decodeValue(buf, 0)
 	if err != nil {
-		t.Fatalf("DecodePrefix: %v", err)
+		t.Fatalf("decodeValue: %v", err)
 	}
 	if v != int64(7) {
 		t.Fatalf("v = %v, want 7", v)
 	}
-	v2, _, err := DecodePrefix(buf[n:])
+	v2, _, err := decodeValue(buf[n:], 0)
 	if err != nil || v2 != "next" {
 		t.Fatalf("second value = %v, %v", v2, err)
 	}
 }
 
-// TestDecodePrefixPositions pins the byte positions DecodePrefix
-// reports: exact consumed counts on success, zero consumed on failure,
-// and the position embedded in Decode's ErrTrailing message.
+// TestDecodePrefixPositions pins the byte positions decodeValue
+// reports: exact consumed counts on success, zero consumed on failure.
 func TestDecodePrefixPositions(t *testing.T) {
 	values := []struct {
 		name string
@@ -186,13 +184,13 @@ func TestDecodePrefixPositions(t *testing.T) {
 	}
 	for _, tt := range values {
 		t.Run(tt.name, func(t *testing.T) {
-			enc := MustEncode(tt.v)
+			enc := mustAppend(tt.v)
 			// Appending a second value must not disturb the first value's
 			// reported length.
-			data := append(append([]byte{}, enc...), MustEncode("tail")...)
-			_, n, err := DecodePrefix(data)
+			data := append(append([]byte{}, enc...), mustAppend("tail")...)
+			_, n, err := decodeValue(data, 0)
 			if err != nil {
-				t.Fatalf("DecodePrefix: %v", err)
+				t.Fatalf("decodeValue: %v", err)
 			}
 			if n != len(enc) {
 				t.Fatalf("consumed %d bytes, want %d", n, len(enc))
@@ -200,28 +198,15 @@ func TestDecodePrefixPositions(t *testing.T) {
 			// Every strict prefix of a single value is truncated or
 			// otherwise invalid, and reports zero consumed bytes.
 			for cut := 0; cut < len(enc); cut++ {
-				v, n, err := DecodePrefix(enc[:cut])
+				v, n, err := decodeValue(enc[:cut], 0)
 				if err == nil {
-					t.Fatalf("DecodePrefix(%x) = %v, want error", enc[:cut], v)
+					t.Fatalf("decodeValue(%x, 0) = %v, want error", enc[:cut], v)
 				}
 				if n != 0 {
-					t.Fatalf("failed DecodePrefix consumed %d bytes, want 0", n)
+					t.Fatalf("failed decodeValue consumed %d bytes, want 0", n)
 				}
 			}
 		})
-	}
-}
-
-func TestDecodeTrailingReportsPosition(t *testing.T) {
-	enc := MustEncode(int64(7))
-	data := append(append([]byte{}, enc...), 0xAA, 0xBB)
-	_, err := Decode(data)
-	if !errors.Is(err, ErrTrailing) {
-		t.Fatalf("err = %v, want ErrTrailing", err)
-	}
-	want := fmt.Sprintf("%d of %d bytes consumed", len(enc), len(data))
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %q, want position %q", err, want)
 	}
 }
 
@@ -235,49 +220,38 @@ func TestDepthLimitBoundary(t *testing.T) {
 		}
 		return append(data, tagNil)
 	}
-	if _, err := Decode(build(maxDepth)); err != nil {
+	if _, err := decodeOne(build(maxDepth)); err != nil {
 		t.Fatalf("depth %d should decode: %v", maxDepth, err)
 	}
-	_, err := Decode(build(maxDepth + 1))
+	_, err := decodeOne(build(maxDepth + 1))
 	if !errors.Is(err, ErrDepth) {
 		t.Fatalf("depth %d err = %v, want ErrDepth", maxDepth+1, err)
 	}
 	if !strings.Contains(err.Error(), "list element 0") {
 		t.Fatalf("err = %q, want nesting context", err)
 	}
-	// The same boundary holds for the non-materializing walkers.
+	// The same boundary holds for the non-materializing walker.
 	if _, err := skipValue(build(maxDepth), 0); err != nil {
 		t.Fatalf("skipValue at depth %d: %v", maxDepth, err)
 	}
 	if _, err := skipValue(build(maxDepth+1), 0); !errors.Is(err, ErrDepth) {
 		t.Fatalf("skipValue err = %v, want ErrDepth", err)
 	}
-	if err := DecodeInto(build(maxDepth+1), nopVis); !errors.Is(err, ErrDepth) {
-		t.Fatalf("DecodeInto err = %v, want ErrDepth", err)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if !Equal(Record{"a": int64(1)}, Record{"a": int64(1)}) {
-		t.Fatal("equal records reported unequal")
-	}
-	if Equal(Record{"a": int64(1)}, Record{"a": int64(2)}) {
-		t.Fatal("unequal records reported equal")
-	}
-	if Equal(make(chan int), make(chan int)) {
-		t.Fatal("unencodable values must compare unequal")
-	}
 }
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := NewMessage("request", Record{"subid": "s1", "resid": "r1"})
-	data, err := EncodeMessage(m)
+	data, err := AppendMessage(nil, m)
 	if err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+		t.Fatalf("AppendMessage: %v", err)
 	}
-	got, err := DecodeMessage(data)
+	v, err := ParseMessage(data)
 	if err != nil {
-		t.Fatalf("DecodeMessage: %v", err)
+		t.Fatalf("ParseMessage: %v", err)
+	}
+	got, err := v.Message()
+	if err != nil {
+		t.Fatalf("Message: %v", err)
 	}
 	if got.Name != "request" || !reflect.DeepEqual(got.Fields, m.Fields) {
 		t.Fatalf("round trip = %v, want %v", got, m)
@@ -285,32 +259,36 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestMessageNilFields(t *testing.T) {
-	data, err := EncodeMessage(Message{Name: "free"})
+	data, err := AppendMessage(nil, Message{Name: "free"})
 	if err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+		t.Fatalf("AppendMessage: %v", err)
 	}
-	got, err := DecodeMessage(data)
+	v, err := ParseMessage(data)
 	if err != nil {
-		t.Fatalf("DecodeMessage: %v", err)
+		t.Fatalf("ParseMessage: %v", err)
 	}
-	if got.Fields == nil || len(got.Fields) != 0 {
-		t.Fatalf("fields = %#v, want empty map", got.Fields)
+	got, err := v.Fields()
+	if err != nil {
+		t.Fatalf("Fields: %v", err)
+	}
+	if got == nil || len(got) != 0 {
+		t.Fatalf("fields = %#v, want empty map", got)
 	}
 }
 
 func TestMessageDecodeErrors(t *testing.T) {
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Fatal("expected error on empty message")
+	if _, err := ParseMessage(nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated on empty message", err)
 	}
 	// A message whose "name" is an int.
-	bad := MustEncode(int64(1))
-	bad = append(bad, MustEncode(Record{})...)
-	if _, err := DecodeMessage(bad); err == nil || !strings.Contains(err.Error(), "not string") {
-		t.Fatalf("err = %v, want non-string name error", err)
+	bad := mustAppend(int64(1))
+	bad = append(bad, mustAppend(Record{})...)
+	if _, err := ParseMessage(bad); !errors.Is(err, ErrBadTag) || !strings.Contains(err.Error(), "message name") {
+		t.Fatalf("err = %v, want bad-tag name error", err)
 	}
 	// Trailing garbage.
-	good, _ := EncodeMessage(NewMessage("x", nil))
-	if _, err := DecodeMessage(append(good, 0)); !errors.Is(err, ErrTrailing) {
+	good, _ := AppendMessage(nil, NewMessage("x", nil))
+	if _, err := ParseMessage(append(good, 0)); !errors.Is(err, ErrTrailing) {
 		t.Fatalf("err = %v, want ErrTrailing", err)
 	}
 }
@@ -364,15 +342,15 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if math.IsNaN(f) {
 			return true // NaN != NaN; covered by TestRoundTripNaN
 		}
-		data, err := Encode(in)
+		data, err := Append(nil, in)
 		if err != nil {
 			return false
 		}
-		out, err := Decode(data)
+		out, err := decodeOne(data)
 		if err != nil {
 			return false
 		}
-		return Equal(in, out)
+		return sameEncoding(in, out)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -387,8 +365,8 @@ func TestPropertyDecodeNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = Decode(data)        //nolint:errcheck // errors are expected
-		_, _ = DecodeMessage(data) //nolint:errcheck
+		_, _ = decodeOne(data)     //nolint:errcheck // errors are expected
+		_, _ = decodeMessage(data) //nolint:errcheck
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {

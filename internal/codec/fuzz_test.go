@@ -9,18 +9,18 @@ import (
 // FuzzCodecRoundTrip is the codec's wire-compatibility fuzz target, run
 // bounded in CI (see .github/workflows/ci.yml, fuzz job):
 //
-//   - decoding arbitrary bytes must never panic, whichever decoder is
-//     used (Decode, DecodeMessage, ParseMessage, DecodeInto, skipValue);
+//   - decoding arbitrary bytes must never panic, whichever walk is used
+//     (the boxed decodeValue, ParseMessage, skipValue);
 //   - any accepted input is canonical-after-one-trip: re-encoding the
-//     decoded value must be byte-identical under both the legacy encoder
-//     and the schema-compiled encoder, and the decode planes (boxed,
-//     view, visitor) must agree — the view plane being strictly stricter
-//     only about canonical key order.
+//     decoded value must be byte-identical under both the dynamic
+//     encoder (Append/AppendMessage) and the schema-compiled encoder,
+//     and the boxed and view decode planes must agree — the view plane
+//     being strictly stricter only about canonical key order.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MustEncode(int64(-5)))
-	f.Add(MustEncode(Record{"a": uint64(1), "b": List{"x", nil, true}}))
-	seedMsg, _ := EncodeMessage(NewMessage("mw.event", Record{
+	f.Add(mustAppend(int64(-5)))
+	f.Add(mustAppend(Record{"a": uint64(1), "b": List{"x", nil, true}}))
+	seedMsg, _ := AppendMessage(nil, NewMessage("mw.event", Record{
 		"topic": "t1", "name": "update", "fields": Record{"resid": "r1", "seq": int64(9)},
 	}))
 	f.Add(seedMsg)
@@ -29,34 +29,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panic, all decode planes.
-		v, decodeErr := Decode(data)
-		_, _ = DecodeMessage(data)   //nolint:errcheck // errors expected
-		_, _ = skipValue(data, 0)    //nolint:errcheck
-		_ = DecodeInto(data, nopVis) //nolint:errcheck
+		v, decodeErr := decodeOne(data)
+		_, _ = decodeMessage(data) //nolint:errcheck // errors expected
 
-		// The structural walkers must accept exactly what Decode accepts.
-		if n, err := skipValue(data, 0); decodeErr == nil {
-			if err != nil || n != len(data) {
-				t.Fatalf("skipValue (%d, %v) disagrees with successful Decode of % x", n, err, data)
-			}
-		}
-		if err := DecodeInto(data, nopVis); (decodeErr == nil) != (err == nil) {
-			t.Fatalf("DecodeInto %v disagrees with Decode %v on % x", err, decodeErr, data)
+		// The structural walker must accept exactly what decodeValue
+		// accepts.
+		if n, err := skipValue(data, 0); (err == nil && n == len(data)) != (decodeErr == nil) {
+			t.Fatalf("skipValue (%d, %v) disagrees with decodeValue %v on % x", n, err, decodeErr, data)
 		}
 
 		if decodeErr == nil {
 			// Encode→decode→re-encode is byte-identical: one trip through
 			// the decoder canonicalizes (sorts keys, collapses duplicates),
 			// after which encoding is a fixed point.
-			re1, err := Encode(v)
+			re1, err := Append(nil, v)
 			if err != nil {
 				t.Fatalf("re-encode of decoded value %#v failed: %v", v, err)
 			}
-			v2, err := Decode(re1)
+			v2, err := decodeOne(re1)
 			if err != nil {
 				t.Fatalf("decode of re-encoded % x failed: %v", re1, err)
 			}
-			re2, err := Encode(v2)
+			re2, err := Append(nil, v2)
 			if err != nil {
 				t.Fatalf("second re-encode failed: %v", err)
 			}
@@ -65,30 +59,30 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Message plane: the view parser accepts a subset of the legacy
-		// parser (it additionally rejects non-canonical key order, which
+		// Message plane: the view parser accepts a subset of the boxed
+		// decoder (it additionally rejects non-canonical key order, which
 		// no encoder produces); on the shared accepted set both decode
 		// identically, and accepted messages re-encode identically
-		// through the legacy path AND through a schema compiled from the
+		// through AppendMessage AND through a schema compiled from the
 		// decoded shape.
-		m, msgErr := DecodeMessage(data)
+		m, msgErr := decodeMessage(data)
 		view, viewErr := ParseMessage(data)
 		if viewErr == nil && msgErr != nil {
-			t.Fatalf("ParseMessage accepted % x, DecodeMessage rejected: %v", data, msgErr)
+			t.Fatalf("ParseMessage accepted % x, decodeMessage rejected: %v", data, msgErr)
 		}
 		if msgErr == nil && viewErr != nil && !errors.Is(viewErr, ErrNonCanonical) {
-			t.Fatalf("ParseMessage rejected legacy-accepted % x with %v (want ErrNonCanonical)", data, viewErr)
+			t.Fatalf("ParseMessage rejected boxed-accepted % x with %v (want ErrNonCanonical)", data, viewErr)
 		}
 		if msgErr == nil && viewErr == nil {
-			re1, err := EncodeMessage(m)
+			re1, err := AppendMessage(nil, m)
 			if err != nil {
 				t.Fatalf("re-encode message failed: %v", err)
 			}
-			m2, err := DecodeMessage(re1)
+			m2, err := decodeMessage(re1)
 			if err != nil {
 				t.Fatalf("decode of re-encoded message failed: %v", err)
 			}
-			re2, err := EncodeMessage(m2)
+			re2, err := AppendMessage(nil, m2)
 			if err != nil {
 				t.Fatalf("second message re-encode failed: %v", err)
 			}
@@ -99,10 +93,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("view materialization failed on accepted message: %v", err)
 			}
-			if !Equal(Value(vm.Fields), Value(m.Fields)) || vm.Name != m.Name {
-				t.Fatalf("view materialized %v, legacy %v", vm, m)
+			if !sameEncoding(Value(vm.Fields), Value(m.Fields)) || vm.Name != m.Name {
+				t.Fatalf("view materialized %v, boxed %v", vm, m)
 			}
-			// Schema-compiled encoding agrees with the legacy encoder on
+			// Schema-compiled encoding agrees with AppendMessage on
 			// the canonicalized message. Wire-valid empty keys cannot name
 			// schema fields; skip those shapes.
 			names := make([]string, 0, len(m.Fields))
@@ -122,26 +116,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("schema re-encode failed: %v", err)
 			}
 			if !bytes.Equal(se, re1) {
-				t.Fatalf("schema re-encode differs from legacy:\nlegacy %x\nschema %x", re1, se)
+				t.Fatalf("schema re-encode differs from AppendMessage:\ndynamic %x\nschema  %x", re1, se)
 			}
 		}
 	})
 }
-
-// nopVis discards every visitor event.
-var nopVis Visitor = nopVisitor{}
-
-type nopVisitor struct{}
-
-func (nopVisitor) Nil() error            { return nil }
-func (nopVisitor) Bool(bool) error       { return nil }
-func (nopVisitor) Int(int64) error       { return nil }
-func (nopVisitor) Uint(uint64) error     { return nil }
-func (nopVisitor) Float(float64) error   { return nil }
-func (nopVisitor) Str([]byte) error      { return nil }
-func (nopVisitor) Bytes([]byte) error    { return nil }
-func (nopVisitor) ListStart(int) error   { return nil }
-func (nopVisitor) ListEnd() error        { return nil }
-func (nopVisitor) RecordStart(int) error { return nil }
-func (nopVisitor) Key([]byte) error      { return nil }
-func (nopVisitor) RecordEnd() error      { return nil }

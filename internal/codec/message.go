@@ -50,15 +50,9 @@ func (m Message) String() string {
 	return sb.String()
 }
 
-// EncodeMessage produces the canonical wire form of m: the name as a
-// string value followed by the fields as a record.
-func EncodeMessage(m Message) ([]byte, error) {
-	return AppendMessage(nil, m)
-}
-
-// AppendMessage appends the canonical wire form of m to buf, returning
-// the extended slice — EncodeMessage into a caller-supplied (typically
-// pooled) buffer. For fixed message shapes, a compiled Schema encodes
+// AppendMessage appends the canonical wire form of m to buf — the name
+// as a string value followed by the fields as a record — and returns the
+// extended slice. For fixed message shapes, a compiled Schema encodes
 // the same bytes without building the Fields map at all.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	buf, err := Append(buf, m.Name)
@@ -74,37 +68,6 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 		return nil, fmt.Errorf("encode message %q: %w", m.Name, err)
 	}
 	return buf, nil
-}
-
-// DecodeMessage parses the wire form produced by EncodeMessage.
-//
-// Deprecated: DecodeMessage heap-allocates the field Record on every
-// parse. New code should call ParseMessage, whose MsgView reads fields
-// in place without copying and rejects non-canonical key order; call
-// (MsgView).Fields only at the point a materialized Record is truly
-// needed. Kept for the reflective tooling surface; repolint flags new
-// uses outside internal/codec.
-func DecodeMessage(data []byte) (Message, error) {
-	nameV, n, err := DecodePrefix(data)
-	if err != nil {
-		return Message{}, fmt.Errorf("decode message name: %w", err)
-	}
-	name, ok := nameV.(string)
-	if !ok {
-		return Message{}, fmt.Errorf("decode message: name is %T, not string", nameV)
-	}
-	fieldsV, m, err := DecodePrefix(data[n:])
-	if err != nil {
-		return Message{}, fmt.Errorf("decode message %q fields: %w", name, err)
-	}
-	if n+m != len(data) {
-		return Message{}, fmt.Errorf("decode message %q: %w", name, ErrTrailing)
-	}
-	fields, ok := fieldsV.(map[string]Value)
-	if !ok {
-		return Message{}, fmt.Errorf("decode message %q: fields are %T, not record", name, fieldsV)
-	}
-	return Message{Name: name, Fields: fields}, nil
 }
 
 // StringList converts a slice of strings to a List value; it is the wire

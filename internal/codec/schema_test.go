@@ -17,12 +17,12 @@ func TestSchemaEncodeMatchesEncodeMessage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	want, err := EncodeMessage(NewMessage("rdp.data", Record{
+	want, err := AppendMessage(nil, NewMessage("rdp.data", Record{
 		"seq":     uint64(42),
 		"payload": []byte{1, 2, 3},
 	}))
 	if err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+		t.Fatalf("AppendMessage: %v", err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("schema bytes differ:\n got %x\nwant %x", got, want)
@@ -44,8 +44,8 @@ func TestSchemaAllValueKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	want := MustEncode("m")
-	wantFields, _ := Encode(Record{
+	want := mustAppend("m")
+	wantFields, _ := Append(nil, Record{
 		"b": true, "f": 3.5, "i": int64(-7), "n": []byte{}, "s": "x",
 		"t": false, "u": uint64(math.MaxUint64), "v": List{"a", int64(1)},
 	})
@@ -53,10 +53,10 @@ func TestSchemaAllValueKinds(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("schema bytes differ:\n got %x\nwant %x", got, want)
 	}
-	// And the legacy decoder accepts it.
-	m, err := DecodeMessage(got)
+	// And the boxed decoder accepts it.
+	m, err := decodeMessage(got)
 	if err != nil {
-		t.Fatalf("DecodeMessage: %v", err)
+		t.Fatalf("decodeMessage: %v", err)
 	}
 	if m.Name != "m" || len(m.Fields) != 8 {
 		t.Fatalf("decoded %v", m)
@@ -85,7 +85,7 @@ func TestSchemaFieldOrderEnforced(t *testing.T) {
 }
 
 func TestSchemaRawSplice(t *testing.T) {
-	inner := MustEncode(Record{"k": "v", "n": int64(3)})
+	inner := mustAppend(Record{"k": "v", "n": int64(3)})
 	s := CompileSchema("fwd", "fields", "topic")
 	e := s.Encoder(nil)
 	e.Raw("fields", inner)
@@ -94,7 +94,7 @@ func TestSchemaRawSplice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	want, _ := EncodeMessage(NewMessage("fwd", Record{
+	want, _ := AppendMessage(nil, NewMessage("fwd", Record{
 		"fields": Record{"k": "v", "n": int64(3)},
 		"topic":  "t1",
 	}))
@@ -199,7 +199,7 @@ func randString(rng *rand.Rand) string {
 }
 
 // Property: for randomized records, schema-compiled encoding produces
-// exactly the bytes of the legacy map-based Encode path.
+// exactly the bytes of the dynamic map-based AppendMessage path.
 func TestPropertySchemaMatchesLegacyEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
@@ -222,12 +222,12 @@ func TestPropertySchemaMatchesLegacyEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: Finish: %v", iter, err)
 		}
-		want, err := EncodeMessage(NewMessage(name, fields))
+		want, err := AppendMessage(nil, NewMessage(name, fields))
 		if err != nil {
-			t.Fatalf("iter %d: EncodeMessage: %v", iter, err)
+			t.Fatalf("iter %d: AppendMessage: %v", iter, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("iter %d: schema encoding diverges from legacy:\nfields %v\n got %x\nwant %x",
+			t.Fatalf("iter %d: schema encoding diverges from AppendMessage:\nfields %v\n got %x\nwant %x",
 				iter, fields, got, want)
 		}
 	}

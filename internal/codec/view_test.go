@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,7 +18,7 @@ func mustParse(t *testing.T, data []byte) MsgView {
 }
 
 func TestViewTypedAccessors(t *testing.T) {
-	data, err := EncodeMessage(NewMessage("probe", Record{
+	data, err := AppendMessage(nil, NewMessage("probe", Record{
 		"u":   uint64(99),
 		"i":   int64(-4),
 		"f":   2.5,
@@ -31,7 +30,7 @@ func TestViewTypedAccessors(t *testing.T) {
 		"rec": Record{"inner": int64(1)},
 	}))
 	if err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+		t.Fatalf("AppendMessage: %v", err)
 	}
 	v := mustParse(t, data)
 	if !v.NameIs("probe") || string(v.Name()) != "probe" {
@@ -61,19 +60,19 @@ func TestViewTypedAccessors(t *testing.T) {
 	if b, ok := v.Bytes("b"); !ok || !bytes.Equal(b, []byte{7, 8}) {
 		t.Fatalf("Bytes(b) = %v, %v", b, ok)
 	}
-	if rec, ok := v.Record("rec"); !ok || !Equal(rec, Record{"inner": int64(1)}) {
+	if rec, ok := v.Record("rec"); !ok || !sameEncoding(rec, Record{"inner": int64(1)}) {
 		t.Fatalf("Record(rec) = %v, %v", rec, ok)
 	}
 	if val, ok := v.Value("nil"); !ok || val != nil {
 		t.Fatalf("Value(nil) = %v, %v", val, ok)
 	}
-	if raw, ok := v.Raw("u"); !ok || !bytes.Equal(raw, MustEncode(uint64(99))) {
+	if raw, ok := v.Raw("u"); !ok || !bytes.Equal(raw, mustAppend(uint64(99))) {
 		t.Fatalf("Raw(u) = %x, %v", raw, ok)
 	}
 }
 
 func TestViewMissesAndTypeMismatches(t *testing.T) {
-	data, _ := EncodeMessage(NewMessage("m", Record{"s": "x", "u": uint64(1)}))
+	data, _ := AppendMessage(nil, NewMessage("m", Record{"s": "x", "u": uint64(1)}))
 	v := mustParse(t, data)
 	if _, ok := v.Uint("absent"); ok {
 		t.Fatal("Uint(absent) hit")
@@ -109,7 +108,7 @@ func TestViewMessageMaterialization(t *testing.T) {
 	in := NewMessage("full", Record{
 		"a": int64(1), "b": "two", "c": List{true, nil},
 	})
-	data, _ := EncodeMessage(in)
+	data, _ := AppendMessage(nil, in)
 	v := mustParse(t, data)
 	got, err := v.Message()
 	if err != nil {
@@ -121,13 +120,13 @@ func TestViewMessageMaterialization(t *testing.T) {
 }
 
 func TestParseMessageRejectsCorrupt(t *testing.T) {
-	good, _ := EncodeMessage(NewMessage("m", Record{"k": "v"}))
+	good, _ := AppendMessage(nil, NewMessage("m", Record{"k": "v"}))
 	cases := map[string][]byte{
 		"empty":           nil,
-		"name not string": MustEncode(uint64(1)),
-		"no fields":       MustEncode("m"),
-		"fields not record": append(MustEncode("m"),
-			MustEncode("not-a-record")...),
+		"name not string": mustAppend(uint64(1)),
+		"no fields":       mustAppend("m"),
+		"fields not record": append(mustAppend("m"),
+			mustAppend("not-a-record")...),
 		"trailing":  append(append([]byte{}, good...), 0x00),
 		"truncated": good[:len(good)-1],
 	}
@@ -141,15 +140,15 @@ func TestParseMessageRejectsCorrupt(t *testing.T) {
 }
 
 // TestParseMessageAgreesWithDecodeMessage feeds random mutations to both
-// parsers. ParseMessage accepts a subset of what DecodeMessage accepts:
-// everything it accepts must also decode legacily to a codec-equal
+// parsers. ParseMessage accepts a subset of what the boxed decodeMessage
+// accepts: everything it accepts must also decode boxed to a codec-equal
 // message, and the only inputs it may additionally reject are
 // non-canonical ones (out-of-order or duplicate keys, which no encoder
 // in this package produces) — so swapping call sites onto the view path
 // cannot change how any encoder-produced wire message is handled.
 func TestParseMessageAgreesWithDecodeMessage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	base, _ := EncodeMessage(NewMessage("mw.event", Record{
+	base, _ := AppendMessage(nil, NewMessage("mw.event", Record{
 		"topic": "t", "name": "n", "fields": Record{"x": int64(1)},
 	}))
 	for iter := 0; iter < 2000; iter++ {
@@ -167,23 +166,23 @@ func TestParseMessageAgreesWithDecodeMessage(t *testing.T) {
 				break
 			}
 		}
-		legacy, legacyErr := DecodeMessage(data)
+		boxed, boxedErr := decodeMessage(data)
 		view, viewErr := ParseMessage(data)
 		switch {
-		case viewErr == nil && legacyErr != nil:
-			t.Fatalf("iter %d: view accepted % x, legacy rejected: %v", iter, data, legacyErr)
+		case viewErr == nil && boxedErr != nil:
+			t.Fatalf("iter %d: view accepted % x, boxed rejected: %v", iter, data, boxedErr)
 		case viewErr == nil:
 			vm, err := view.Message()
 			if err != nil {
 				t.Fatalf("iter %d: view materialization failed: %v", iter, err)
 			}
-			if vm.Name != legacy.Name || !Equal(Value(vm.Fields), Value(legacy.Fields)) {
-				t.Fatalf("iter %d: view decoded %v, legacy %v", iter, vm, legacy)
+			if vm.Name != boxed.Name || !sameEncoding(Value(vm.Fields), Value(boxed.Fields)) {
+				t.Fatalf("iter %d: view decoded %v, boxed %v", iter, vm, boxed)
 			}
-		case legacyErr == nil:
+		case boxedErr == nil:
 			// The only permitted extra rejection is non-canonicality.
 			if !errors.Is(viewErr, ErrNonCanonical) {
-				t.Fatalf("iter %d: view rejected legacy-accepted % x with %v (want ErrNonCanonical)",
+				t.Fatalf("iter %d: view rejected boxed-accepted % x with %v (want ErrNonCanonical)",
 					iter, data, viewErr)
 			}
 		}
@@ -192,25 +191,25 @@ func TestParseMessageAgreesWithDecodeMessage(t *testing.T) {
 
 func TestParseMessageRejectsNonCanonical(t *testing.T) {
 	// Hand-build messages with out-of-order and duplicate keys: the
-	// legacy decoder tolerates both (map overwrite), the view rejects
+	// boxed decoder tolerates both (map overwrite), the view rejects
 	// them so its sorted-scan lookup is exact.
 	pair := func(key string, val []byte) []byte {
 		out := append([]byte{tagString, byte(len(key))}, key...)
 		return append(out, val...)
 	}
 	msg := func(pairs ...[]byte) []byte {
-		out := append(MustEncode("m"), tagRecord, byte(len(pairs)))
+		out := append(mustAppend("m"), tagRecord, byte(len(pairs)))
 		for _, p := range pairs {
 			out = append(out, p...)
 		}
 		return out
 	}
-	unsorted := msg(pair("b", MustEncode(int64(1))), pair("a", MustEncode(int64(2))))
-	duplicate := msg(pair("a", []byte{tagNil}), pair("a", MustEncode(int64(5))))
+	unsorted := msg(pair("b", mustAppend(int64(1))), pair("a", mustAppend(int64(2))))
+	duplicate := msg(pair("a", []byte{tagNil}), pair("a", mustAppend(int64(5))))
 	for name, data := range map[string][]byte{"unsorted": unsorted, "duplicate": duplicate} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeMessage(data); err != nil {
-				t.Fatalf("legacy decoder must tolerate %s keys: %v", name, err)
+			if _, err := decodeMessage(data); err != nil {
+				t.Fatalf("boxed decoder must tolerate %s keys: %v", name, err)
 			}
 			if _, err := ParseMessage(data); !errors.Is(err, ErrNonCanonical) {
 				t.Fatalf("ParseMessage err = %v, want ErrNonCanonical", err)
@@ -236,165 +235,6 @@ func TestSkipValueErrors(t *testing.T) {
 	}
 }
 
-// eventVisitor records the walk as a flat trace for assertions.
-type eventVisitor struct {
-	trace []string
-	fail  string // event name to fail on, "" = never
-}
-
-func (v *eventVisitor) emit(s string) error {
-	v.trace = append(v.trace, s)
-	if v.fail == s {
-		return errors.New("visitor abort")
-	}
-	return nil
-}
-
-func (v *eventVisitor) Nil() error              { return v.emit("nil") }
-func (v *eventVisitor) Bool(b bool) error       { return v.emit(boolName(b)) }
-func (v *eventVisitor) Int(x int64) error       { return v.emit("int") }
-func (v *eventVisitor) Uint(x uint64) error     { return v.emit("uint") }
-func (v *eventVisitor) Float(f float64) error   { return v.emit("float") }
-func (v *eventVisitor) Str(b []byte) error      { return v.emit("str:" + string(b)) }
-func (v *eventVisitor) Bytes(b []byte) error    { return v.emit("bytes") }
-func (v *eventVisitor) ListStart(n int) error   { return v.emit("[") }
-func (v *eventVisitor) ListEnd() error          { return v.emit("]") }
-func (v *eventVisitor) RecordStart(n int) error { return v.emit("{") }
-func (v *eventVisitor) Key(k []byte) error      { return v.emit("key:" + string(k)) }
-func (v *eventVisitor) RecordEnd() error        { return v.emit("}") }
-
-func boolName(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func TestDecodeInto(t *testing.T) {
-	data := MustEncode(Record{
-		"a": List{int64(1), "x", nil, true},
-		"b": uint64(2),
-		"f": 1.5,
-		"z": []byte{1},
-	})
-	vis := &eventVisitor{}
-	if err := DecodeInto(data, vis); err != nil {
-		t.Fatalf("DecodeInto: %v", err)
-	}
-	want := []string{
-		"{", "key:a", "[", "int", "str:x", "nil", "true", "]",
-		"key:b", "uint", "key:f", "float", "key:z", "bytes", "}",
-	}
-	if !reflect.DeepEqual(vis.trace, want) {
-		t.Fatalf("trace = %v, want %v", vis.trace, want)
-	}
-}
-
-func TestDecodeIntoTrailingAndAbort(t *testing.T) {
-	data := append(MustEncode(int64(1)), 0x00)
-	if err := DecodeInto(data, &eventVisitor{}); !errors.Is(err, ErrTrailing) {
-		t.Fatalf("err = %v, want ErrTrailing", err)
-	}
-	n, err := DecodePrefixInto(data, &eventVisitor{})
-	if err != nil || n != 2 {
-		t.Fatalf("DecodePrefixInto = %d, %v", n, err)
-	}
-	// Visitor errors abort the walk.
-	nested := MustEncode(Record{"k": List{"deep"}})
-	vis := &eventVisitor{fail: "str:deep"}
-	if err := DecodeInto(nested, vis); err == nil {
-		t.Fatal("expected visitor abort to propagate")
-	}
-}
-
-// Property: DecodeInto visits exactly the values Decode materializes,
-// for random value trees.
-func TestPropertyDecodeIntoMatchesDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 200; iter++ {
-		in := randomValue(rng, 3)
-		if f, ok := in.(float64); ok && math.IsNaN(f) {
-			continue
-		}
-		data, err := Encode(in)
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		vis := &rebuildVisitor{}
-		if err := DecodeInto(data, vis); err != nil {
-			t.Fatalf("iter %d: DecodeInto: %v", iter, err)
-		}
-		out := vis.result()
-		if !Equal(in, out) {
-			t.Fatalf("iter %d: rebuilt %#v, want %#v", iter, out, in)
-		}
-	}
-}
-
-// rebuildVisitor reconstructs the boxed value from visitor events — the
-// inverse bridge used to cross-check DecodeInto against Decode.
-type rebuildVisitor struct {
-	stack []any    // *List or *Record frames
-	keys  []string // pending key per record frame
-	root  Value
-	has   bool
-}
-
-func (v *rebuildVisitor) push(x Value) error {
-	if len(v.stack) == 0 {
-		v.root, v.has = x, true
-		return nil
-	}
-	switch top := v.stack[len(v.stack)-1].(type) {
-	case *List:
-		*top = append(*top, x)
-	case *Record:
-		(*top)[v.keys[len(v.keys)-1]] = x
-	}
-	return nil
-}
-
-func (v *rebuildVisitor) result() Value { return v.root }
-
-func (v *rebuildVisitor) Nil() error            { return v.push(nil) }
-func (v *rebuildVisitor) Bool(b bool) error     { return v.push(b) }
-func (v *rebuildVisitor) Int(x int64) error     { return v.push(x) }
-func (v *rebuildVisitor) Uint(x uint64) error   { return v.push(x) }
-func (v *rebuildVisitor) Float(f float64) error { return v.push(f) }
-func (v *rebuildVisitor) Str(b []byte) error    { return v.push(string(b)) }
-func (v *rebuildVisitor) Bytes(b []byte) error  { return v.push(append([]byte{}, b...)) }
-
-func (v *rebuildVisitor) ListStart(n int) error {
-	l := make(List, 0, n)
-	v.stack = append(v.stack, &l)
-	return nil
-}
-
-func (v *rebuildVisitor) ListEnd() error {
-	l := v.stack[len(v.stack)-1].(*List)
-	v.stack = v.stack[:len(v.stack)-1]
-	return v.push(*l)
-}
-
-func (v *rebuildVisitor) RecordStart(n int) error {
-	r := make(Record, n)
-	v.stack = append(v.stack, &r)
-	v.keys = append(v.keys, "")
-	return nil
-}
-
-func (v *rebuildVisitor) Key(k []byte) error {
-	v.keys[len(v.keys)-1] = string(k)
-	return nil
-}
-
-func (v *rebuildVisitor) RecordEnd() error {
-	r := v.stack[len(v.stack)-1].(*Record)
-	v.stack = v.stack[:len(v.stack)-1]
-	v.keys = v.keys[:len(v.keys)-1]
-	return v.push(*r)
-}
-
 // TestRecordSchemaAndNestedViews pins the bare-record plane: a
 // CompileRecord encoding (string list included) is byte-identical to the
 // generic encoding of the equivalent Record, ParseRecord/RecordView open
@@ -413,7 +253,7 @@ func TestRecordSchemaAndNestedViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustEncode(Record{"id": "x", "n": int64(-2), "tags": StringList([]string{"a", "bc"})})
+	want := mustAppend(Record{"id": "x", "n": int64(-2), "tags": StringList([]string{"a", "bc"})})
 	if !bytes.Equal(fast, want) {
 		t.Fatalf("record schema % x, generic % x", fast, want)
 	}
@@ -437,7 +277,7 @@ func TestRecordSchemaAndNestedViews(t *testing.T) {
 		t.Fatalf("ParseRecord with a trailing byte: %v, want ErrTrailing", err)
 	}
 
-	msg, err := EncodeMessage(Message{Name: "call", Fields: Record{
+	msg, err := AppendMessage(nil, Message{Name: "call", Fields: Record{
 		"args":  Record{"k": "v", "z": uint64(3)},
 		"mixed": List{"a", int64(1)},
 	}})
@@ -455,7 +295,7 @@ func TestRecordSchemaAndNestedViews(t *testing.T) {
 	if s, ok := args.Str("k"); !ok || string(s) != "v" {
 		t.Fatalf("nested Str = %q, %v", s, ok)
 	}
-	if f, err := args.Fields(); err != nil || !Equal(f, Record{"k": "v", "z": uint64(3)}) {
+	if f, err := args.Fields(); err != nil || !sameEncoding(f, Record{"k": "v", "z": uint64(3)}) {
 		t.Fatalf("nested Fields = %v, %v", f, err)
 	}
 	if _, ok := v.StrList("mixed"); ok {

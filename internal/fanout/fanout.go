@@ -175,7 +175,7 @@ func Run(cfg Config) (*Result, error) {
 	var pubErr error
 	for e := 0; e < cfg.Events; e++ {
 		seq := uint64(e)
-		kernel.ScheduleFunc(time.Duration(e+1)*cfg.Interval, func() {
+		kernel.Schedule(time.Duration(e+1)*cfg.Interval, func() {
 			curPub = kernel.Now()
 			ev := codec.NewMessage("ev", codec.Record{"seq": seq, "pad": pad})
 			if err := p.Publish(pub, topic, ev); err != nil && pubErr == nil {

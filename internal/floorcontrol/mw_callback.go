@@ -220,7 +220,7 @@ func (c *callbackController) grant(sub, res string, seq uint64) {
 			switch {
 			case err == nil:
 			case retryable(err):
-				c.env.Time.ScheduleFunc(c.env.PollInterval, func() { c.grant(sub, res, seq) })
+				c.env.Time.Schedule(c.env.PollInterval, func() { c.grant(sub, res, seq) })
 			default:
 				panic(fmt.Sprintf("floorcontrol: grant to %q: %v", sub, err))
 			}

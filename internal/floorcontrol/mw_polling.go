@@ -232,7 +232,7 @@ func (p *mwPollingPart) poll(res string, done func(), seq uint64) {
 		func(result availReply, err error) {
 			if err != nil {
 				if p.env.Churn && retryable(err) {
-					p.env.Time.ScheduleFunc(p.env.PollInterval, func() { p.poll(res, done, seq) })
+					p.env.Time.Schedule(p.env.PollInterval, func() { p.poll(res, done, seq) })
 					return
 				}
 				panic(fmt.Sprintf("floorcontrol: is_available from %q: %v", p.sub, err))
@@ -242,7 +242,7 @@ func (p *mwPollingPart) poll(res string, done func(), seq uint64) {
 				done()
 				return
 			}
-			p.env.Time.ScheduleFunc(p.env.PollInterval, func() { p.poll(res, done, seq) })
+			p.env.Time.Schedule(p.env.PollInterval, func() { p.poll(res, done, seq) })
 		})
 	if err != nil {
 		panic(fmt.Sprintf("floorcontrol: is_available invoke from %q: %v", p.sub, err))

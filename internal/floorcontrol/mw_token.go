@@ -128,7 +128,7 @@ func (s *MWToken) Build(env *Env) (map[string]AppPart, error) {
 	if env.Churn {
 		startGen = 1
 	}
-	env.Time.ScheduleFunc(0, func() { ring[0].onToken(initial, startGen) })
+	env.Time.Schedule(0, func() { ring[0].onToken(initial, startGen) })
 	return parts, nil
 }
 
@@ -215,7 +215,7 @@ func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 	if gen != 0 {
 		nextGen = gen + 1
 	}
-	p.env.Time.ScheduleFunc(p.env.TokenHopDelay, func() { p.forward(forward, nextGen) })
+	p.env.Time.Schedule(p.env.TokenHopDelay, func() { p.forward(forward, nextGen) })
 }
 
 // forward passes the token to the ring successor. Fault-free, a
@@ -233,7 +233,7 @@ func (p *mwTokenPart) forward(avail []string, gen uint64) {
 			switch {
 			case err == nil:
 			case retryable(err):
-				p.env.Time.ScheduleFunc(p.env.TokenHopDelay, func() { p.forward(avail, gen) })
+				p.env.Time.Schedule(p.env.TokenHopDelay, func() { p.forward(avail, gen) })
 			default:
 				panic(fmt.Sprintf("floorcontrol: pass from %q to %q: %v", p.sub, p.next, err))
 			}

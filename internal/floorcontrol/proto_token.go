@@ -62,7 +62,7 @@ func (s *ProtoToken) Build(env *Env) (map[string]AppPart, error) {
 		// Inject the initial token, carrying all resources, at the first
 		// ring position.
 		initial := append([]string(nil), env.Resources...)
-		env.Time.ScheduleFunc(0, func() { entities[0].onToken(initial) })
+		env.Time.Schedule(0, func() { entities[0].onToken(initial) })
 		return nil
 	})
 }

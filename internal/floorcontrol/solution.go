@@ -195,7 +195,7 @@ func sendCtrl(env *Env, port *svc.Port[ctrlArgs, ack], from middleware.Addr, arg
 			switch {
 			case err == nil:
 			case retryable(err):
-				env.Time.ScheduleFunc(env.PollInterval, func() { sendCtrl(env, port, from, args, op) })
+				env.Time.Schedule(env.PollInterval, func() { sendCtrl(env, port, from, args, op) })
 			default:
 				panic(fmt.Sprintf("floorcontrol: %s from %q: %v", op, from, err))
 			}

@@ -397,7 +397,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		}
 	}
 	runCycle = func(sub string, part AppPart, cycle int) {
-		kernel.ScheduleFunc(jitter(cfg.ThinkTime), func() {
+		kernel.Schedule(jitter(cfg.ThinkTime), func() {
 			step(sub, func() {
 				target := env.Resources[kernel.Rand().Intn(len(env.Resources))]
 				start := kernel.Now()
@@ -428,7 +428,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 					}
 					res.AcquireLatency.Add(elapsed)
 					res.LatencyBySubscriber[sub].Add(elapsed)
-					kernel.ScheduleFunc(jitter(cfg.HoldTime), func() {
+					kernel.Schedule(jitter(cfg.HoldTime), func() {
 						step(sub, func() {
 							part.Release(target)
 							res.Completed++
@@ -437,7 +437,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 					})
 				})
 				if churn {
-					kernel.ScheduleFunc(cfg.AcquireTimeout, func() {
+					kernel.Schedule(cfg.AcquireTimeout, func() {
 						if !granted {
 							timedOut = true
 						}
@@ -453,7 +453,7 @@ func RunWorkloadWith(sol Solution, cfg Config) (*Result, error) {
 		}
 		runCycle(sub, part, 0)
 	}
-	kernel.ScheduleFunc(cfg.Deadline, func() { kernel.Stop() })
+	kernel.Schedule(cfg.Deadline, func() { kernel.Stop() })
 
 	if churn {
 		if err := scheduleChurn(cfg, sol, env, res, transport, crashedSub, parked); err != nil {

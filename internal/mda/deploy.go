@@ -69,7 +69,7 @@ func (c *LogicContext) DeliverToUser(primitive string, params codec.Record) {
 // without pinning a timer allocation; callers that do not need to
 // cancel may discard it.
 func (c *LogicContext) Schedule(d time.Duration, fn func()) sim.TimerRef {
-	return c.dep.kernel.ScheduleFuncRef(d, fn)
+	return c.dep.kernel.Schedule(d, fn)
 }
 
 // messaging is the realized async-message concept: how directed messages

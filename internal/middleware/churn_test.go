@@ -63,7 +63,7 @@ func TestNodeDownFailsPendingCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k.ScheduleFunc(10*time.Millisecond, func() { p.NodeDown("node-s") })
+	k.Schedule(10*time.Millisecond, func() { p.NodeDown("node-s") })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

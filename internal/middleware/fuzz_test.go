@@ -33,7 +33,7 @@ func decodePing(v codec.MsgView) (ping, error) {
 // type, aimed at the fuzz stack's export, pending call and broker.
 func wireSeeds() [][]byte {
 	msg := func(name string, fields codec.Record) []byte {
-		data, err := codec.EncodeMessage(codec.Message{Name: name, Fields: fields})
+		data, err := codec.AppendMessage(nil, codec.Message{Name: name, Fields: fields})
 		if err != nil {
 			panic(err)
 		}

@@ -10,7 +10,8 @@ import (
 // through them appends straight into pooled scratch buffers — no field
 // map is built and no key sorting happens per message. Field order in
 // the encode calls below is the canonical (sorted) order the schemas
-// enforce; the bytes are identical to the legacy EncodeMessage path.
+// enforce; the bytes are identical to codec.AppendMessage of the same
+// fields.
 var (
 	schemaCall     = codec.CompileSchema("mw.call", "args", "id", "op", "target")
 	schemaOneway   = codec.CompileSchema("mw.oneway", "args", "op", "target")
@@ -86,7 +87,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 		}
 		p.stats.Unavailables++
 		p.mu.Unlock()
-		p.kernel.ScheduleFunc(0, func() {
+		p.kernel.Schedule(0, func() {
 			cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 		})
 		return nil
@@ -95,7 +96,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	id := p.nextCall
 	pc := pendingCall{cont: cont, node: reg.nodeID, caller: fromID}
 	if p.profile.CallTimeout > 0 {
-		pc.timer = p.kernel.ScheduleFuncRef(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
+		pc.timer = p.kernel.Schedule(p.profile.CallTimeout, func() { p.onCallTimeout(id) })
 	}
 	p.pending[id] = pc
 	p.stats.Calls++
@@ -404,7 +405,7 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
 		d.buf = buf
-		p.kernel.ScheduleFunc(overhead, d.fn)
+		p.kernel.Schedule(overhead, d.fn)
 		return
 	}
 	p.handleWire(srcAddr, srcLow, atID, data)

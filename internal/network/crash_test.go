@@ -47,12 +47,12 @@ func TestCrashDropsInFlight(t *testing.T) {
 	if err := n.Send("a", "b", []byte("in-flight")); err != nil {
 		t.Fatal(err)
 	}
-	k.ScheduleFunc(2*time.Millisecond, func() {
+	k.Schedule(2*time.Millisecond, func() {
 		if err := n.Crash("b"); err != nil {
 			t.Error(err)
 		}
 	})
-	k.ScheduleFunc(4*time.Millisecond, func() {
+	k.Schedule(4*time.Millisecond, func() {
 		if err := n.Restart("b"); err != nil {
 			t.Error(err)
 		}
@@ -137,7 +137,7 @@ func TestScheduleFaultPlan(t *testing.T) {
 	// t=0: delivered normally. t=6ms: dropped (b crashed). t=16ms:
 	// dropped (a→b partitioned). t=21ms: delivered (healed, restarted).
 	send := func(at time.Duration, msg string) {
-		k.ScheduleFunc(at, func() {
+		k.Schedule(at, func() {
 			if err := n.Send("a", "b", []byte(msg)); err != nil {
 				t.Error(err)
 			}
@@ -220,7 +220,7 @@ func TestCrashPlanDeterministic(t *testing.T) {
 			src := NodeID(names[i])
 			dst := NodeID(names[(i+1)%nodes])
 			for tick := time.Duration(0); tick < 500*time.Millisecond; tick += 7 * time.Millisecond {
-				k.ScheduleFunc(tick, func() {
+				k.Schedule(tick, func() {
 					_ = n.Send(src, dst, []byte("tick"))
 				})
 			}

@@ -117,11 +117,11 @@ func TestPartitionToggleMidRun(t *testing.T) {
 		}
 	}
 	send("before")
-	kernel.ScheduleFunc(2*time.Millisecond, func() {
+	kernel.Schedule(2*time.Millisecond, func() {
 		n.Partition("a", "b")
 		send("during")
 	})
-	kernel.ScheduleFunc(4*time.Millisecond, func() {
+	kernel.Schedule(4*time.Millisecond, func() {
 		n.Heal("a", "b")
 		send("after")
 	})

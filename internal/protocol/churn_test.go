@@ -35,7 +35,7 @@ func newChurnHarness(t *testing.T, seed int64, latency time.Duration) *churnHarn
 
 func (h *churnHarness) at(t *testing.T, when time.Duration, fn func() error) {
 	t.Helper()
-	h.k.ScheduleFunc(when, func() {
+	h.k.Schedule(when, func() {
 		if err := fn(); err != nil {
 			t.Error(err)
 		}

@@ -59,7 +59,7 @@ func (c *Context) Time() *sim.Kernel { return c.layer.kernel }
 // pinning a timer allocation (see sim.TimerRef); callers that do not
 // need to cancel may discard it.
 func (c *Context) Schedule(delay time.Duration, fn func()) sim.TimerRef {
-	return c.layer.kernel.ScheduleFuncRef(delay, fn)
+	return c.layer.kernel.Schedule(delay, fn)
 }
 
 // SendPDU transmits one encoded PDU — a complete codec message,

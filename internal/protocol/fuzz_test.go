@@ -56,7 +56,7 @@ func FuzzLayerPDU(f *testing.F) {
 	req.Str("subid", "s1")
 	seed, _ = req.Finish()
 	f.Add(seed)
-	nested, _ := codec.EncodeMessage(codec.Message{Name: "call", Fields: codec.Record{
+	nested, _ := codec.AppendMessage(nil, codec.Message{Name: "call", Fields: codec.Record{
 		"args": codec.Record{"subid": "s2", "n": int64(-3)}, "available": codec.List{"x", int64(1)},
 	}})
 	f.Add(nested)

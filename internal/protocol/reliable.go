@@ -498,8 +498,8 @@ func (r *ReliableDatagram) lowerSendLocked(src, dst int32, data []byte) error {
 }
 
 // armTimerLocked (re)arms the retransmission timer for a flow with unacked
-// data. The timer rides the kernel's free-list ScheduleFuncRef path: arms
-// and cancels recycle the same Timer structs, so steady-state window
+// data. Kernel timers recycle through a free list: arms and cancels
+// reuse the same timer structs, so steady-state window
 // traffic schedules retransmission cover without allocating. Caller holds
 // r.mu.
 func (r *ReliableDatagram) armTimerLocked(f *sendFlow) {
@@ -511,7 +511,7 @@ func (r *ReliableDatagram) armTimerLocked(f *sendFlow) {
 	if f.timer.Pending() {
 		return
 	}
-	f.timer = r.kernel.ScheduleFuncRef(r.cfg.RetransmitTimeout, f.timerFn)
+	f.timer = r.kernel.Schedule(r.cfg.RetransmitTimeout, f.timerFn)
 }
 
 // onTimeout retransmits the whole window (go-back-N).

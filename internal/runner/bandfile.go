@@ -8,8 +8,7 @@ import (
 	"repro/internal/floorcontrol"
 )
 
-// Fixed workload shape of file-defined churn bands, identical to
-// ChurnBandWith.
+// Fixed workload shape of every churn band.
 const (
 	churnSubscribers = 4
 	churnResources   = 2
@@ -61,19 +60,19 @@ func expandBand(b *bandfile.Band) ([]Scenario, error) {
 	if err := checkLossRates(b.Name, b.Loss); err != nil {
 		return nil, err
 	}
-	return BandSpec{
-		Solutions: solutions,
-		Clients:   b.Clients,
-		Resources: b.Resources,
-		Loss:      b.Loss,
-		Cycles:    b.Cycles,
+	return Matrix{
+		Solutions:   solutions,
+		Subscribers: b.Clients,
+		Resources:   b.Resources,
+		LossRates:   b.Loss,
+		Cycles:      b.Cycles,
 	}.Scenarios(), nil
 }
 
-// expandChurnBand mirrors ChurnBandWith: solution, then rebind policy,
-// then crash rate, then MTTR, with the same fixed workload shape. A
-// file with defaulted dimensions therefore expands to exactly
-// ChurnBand's scenario list.
+// expandChurnBand expands a churn band — solution, then rebind policy,
+// then crash rate, then MTTR, at the fixed churn workload shape. It is
+// the only churn expander: ChurnBandWith goes through it, so a file with
+// defaulted dimensions expands to exactly ChurnBand's scenario list.
 func expandChurnBand(b *bandfile.Band, solutions []string) ([]Scenario, error) {
 	if len(b.Clients) > 0 || len(b.Resources) > 0 || b.Cycles != 0 || len(b.Loss) > 0 {
 		return nil, fmt.Errorf("runner: band %q: churn bands fix the workload shape; only crash, mttr, rebind, and deadline vary", b.Name)

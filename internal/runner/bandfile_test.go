@@ -116,8 +116,8 @@ band second {
 	if len(scenarios) != 2 {
 		t.Fatalf("got %d scenarios, want 2", len(scenarios))
 	}
-	first := BandSpec{Solutions: []string{"mw-token"}, Clients: []int{2}, Loss: []float64{0}}.Scenarios()
-	second := BandSpec{Solutions: []string{"proto-token"}, Clients: []int{3}, Loss: []float64{0}}.Scenarios()
+	first := Matrix{Solutions: []string{"mw-token"}, Subscribers: []int{2}, LossRates: []float64{0}}.Scenarios()
+	second := Matrix{Solutions: []string{"proto-token"}, Subscribers: []int{3}, LossRates: []float64{0}}.Scenarios()
 	if scenarios[0].ID != first[0].ID || scenarios[1].ID != second[0].ID {
 		t.Fatalf("bands out of order: got [%s %s], want [%s %s]",
 			scenarios[0].ID, scenarios[1].ID, first[0].ID, second[0].ID)

@@ -3,7 +3,7 @@ package runner
 import (
 	"time"
 
-	"repro/internal/floorcontrol"
+	"repro/internal/bandfile"
 )
 
 // Default churn-band dimensions: crash rates in crashes per second per
@@ -31,40 +31,16 @@ func ChurnBand(_ int) []Scenario {
 
 // ChurnBandWith expands the churn band over explicit crash-rate and
 // MTTR dimensions (nil/empty take the defaults above) — the hook for
-// cmd/sweep's -crash and -mttr overrides. Expansion order is
-// deterministic: solution, then rebind policy, then crash rate, then
-// MTTR.
+// cmd/sweep's -crash and -mttr overrides. It is the band file
+// "band churn { kind churn crash ... mttr ... }" and expands through the
+// same code. Expansion order is deterministic: solution, then rebind
+// policy, then crash rate, then MTTR. Rates and repair times must be
+// positive and free of duplicates, the rules cmd/sweep's flag parsers
+// and band files enforce; ChurnBandWith panics otherwise.
 func ChurnBandWith(rates []float64, mttrs []time.Duration) []Scenario {
-	if len(rates) == 0 {
-		rates = defaultChurnRates
-	}
-	if len(mttrs) == 0 {
-		mttrs = defaultChurnMTTRs
-	}
-	var out []Scenario
-	for _, sol := range floorcontrol.AllSolutionNames() {
-		policies := []string{floorcontrol.RebindNone}
-		if s, ok := floorcontrol.SolutionByName(sol); ok {
-			if _, failover := s.(floorcontrol.ControllerFailover); failover {
-				policies = append(policies, floorcontrol.RebindFailover)
-			}
-		}
-		for _, policy := range policies {
-			for _, rate := range rates {
-				for _, mttr := range mttrs {
-					out = append(out, WorkloadScenario(floorcontrol.Config{
-						Solution:     sol,
-						Subscribers:  4,
-						Resources:    2,
-						Cycles:       4,
-						Deadline:     8 * time.Second,
-						CrashRate:    rate,
-						MTTR:         mttr,
-						RebindPolicy: policy,
-					}))
-				}
-			}
-		}
+	out, err := expandChurnBand(&bandfile.Band{Name: "churn", Kind: bandfile.KindChurn, Crash: rates, MTTR: mttrs}, nil)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }

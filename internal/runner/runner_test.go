@@ -158,22 +158,19 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestBandSpec pins the declarative band surface: DefaultBand is the
-// 120-scenario headline matrix, LargeClientBand lowers through the same
-// spec, and every BandSpec field reaches the expanded Config.
+// TestBandSpec pins the band surface: DefaultBand is the 120-scenario
+// headline matrix, and every swept Matrix field reaches the expanded
+// Config.
 func TestBandSpec(t *testing.T) {
 	if got := DefaultBand().Size(); got != 120 {
 		t.Fatalf("DefaultBand expands to %d scenarios, want 120", got)
 	}
-	spec := BandSpec{
-		Solutions: []string{"proto-token"},
-		Clients:   []int{5},
-		Resources: []int{3},
-		Loss:      []float64{0.02},
-		Cycles:    2,
-	}
-	if m := spec.Matrix(); m.Cycles != 2 {
-		t.Fatalf("Matrix dropped the cycle count: %+v", m)
+	spec := Matrix{
+		Solutions:   []string{"proto-token"},
+		Subscribers: []int{5},
+		Resources:   []int{3},
+		LossRates:   []float64{0.02},
+		Cycles:      2,
 	}
 	scenarios := spec.Scenarios()
 	if len(scenarios) != 1 || spec.Size() != 1 {

@@ -32,7 +32,9 @@ func FigureScenarios(descs []experiments.Descriptor) []Scenario {
 // Matrix describes a cross-product of floor-control workload scenarios:
 // every listed solution is run at every combination of subscriber count,
 // resource count, and loss rate. Zero-valued dimensions take the defaults
-// below so the zero Matrix is runnable.
+// below so the zero Matrix is runnable. It is the one way a matrix band
+// is described: DefaultBand and LargeClientBand return one, and every
+// matrix band of a band file expands through one.
 type Matrix struct {
 	// Solutions to exercise; empty means all ten implementations.
 	Solutions []string
@@ -96,58 +98,14 @@ func (m Matrix) Scenarios() []Scenario {
 	return out
 }
 
-// BandSpec is the declarative description of a scenario band: the swept
-// dimensions a band varies (solutions, client counts, loss rates,
-// resource counts) plus the cycle count it holds fixed. It is the
-// single way bands are defined — the named band
-// constructors below are one-line specs, and callers compose ad-hoc
-// bands the same way instead of hand-rolling Matrix literals:
-//
-//	runner.BandSpec{Clients: []int{64}, Loss: []float64{0.05}}.Scenarios()
-//
-// Field names follow the sweep CLI (-clients, -loss), not the workload
-// struct, because a band is a CLI-level concept. Empty dimensions take
-// the Matrix defaults (all solutions, clients {3}, resources {2},
-// lossless).
-type BandSpec struct {
-	// Solutions restricts the solution dimension; empty means all ten.
-	Solutions []string
-	// Clients is the subscriber-count dimension.
-	Clients []int
-	// Resources is the resource-count dimension.
-	Resources []int
-	// Loss is the link loss-rate dimension (fractions in [0, 1)).
-	Loss []float64
-	// Cycles fixes the acquire/hold/release cycles per subscriber; zero
-	// takes the workload default.
-	Cycles int
-}
-
-// Matrix lowers the spec to the cross-product form the expander runs.
-func (s BandSpec) Matrix() Matrix {
-	return Matrix{
-		Solutions:   s.Solutions,
-		Subscribers: s.Clients,
-		Resources:   s.Resources,
-		LossRates:   s.Loss,
-		Cycles:      s.Cycles,
-	}
-}
-
-// Size returns the number of scenarios the band expands to.
-func (s BandSpec) Size() int { return s.Matrix().Size() }
-
-// Scenarios expands the band in deterministic order.
-func (s BandSpec) Scenarios() []Scenario { return s.Matrix().Scenarios() }
-
 // DefaultBand is the 120-scenario headline sweep: every solution at
 // client counts {2, 8, 32} and loss {0, 1, 5, 10}% — the matrix cmd/sweep
 // runs when invoked with no flags.
-func DefaultBand() BandSpec {
-	return BandSpec{
-		Clients: []int{2, 8, 32},
-		Loss:    []float64{0, 0.01, 0.05, 0.1},
-		Cycles:  6,
+func DefaultBand() Matrix {
+	return Matrix{
+		Subscribers: []int{2, 8, 32},
+		LossRates:   []float64{0, 0.01, 0.05, 0.1},
+		Cycles:      6,
 	}
 }
 
@@ -158,11 +116,11 @@ func DefaultBand() BandSpec {
 // DefaultBand (clients {2, 8, 32}), extending coverage into the fan-out
 // regime where per-message table-walk costs dominate.
 func LargeClientBand() Matrix {
-	return BandSpec{
-		Clients: []int{64, 128, 256},
-		Loss:    []float64{0, 0.01},
-		Cycles:  4,
-	}.Matrix()
+	return Matrix{
+		Subscribers: []int{64, 128, 256},
+		LossRates:   []float64{0, 0.01},
+		Cycles:      4,
+	}
 }
 
 // WorkloadScenario wraps one floor-control workload configuration into a

@@ -29,7 +29,7 @@ func BenchmarkCalibrate(b *testing.B) {
 var benchSink uint64
 
 // BenchmarkSteadyStateScheduleRun measures the allocation-free steady
-// state: a single self-rescheduling event on the fire-and-forget path.
+// state: a single self-rescheduling event whose ref is ignored.
 // One iteration = one schedule + one pop + one dispatch. allocs/op must
 // stay ~0 — that is the acceptance criterion of the pooled fast path.
 func BenchmarkSteadyStateScheduleRun(b *testing.B) {
@@ -40,10 +40,10 @@ func BenchmarkSteadyStateScheduleRun(b *testing.B) {
 	tick = func() {
 		remaining--
 		if remaining > 0 {
-			k.ScheduleFunc(time.Microsecond, tick)
+			k.Schedule(time.Microsecond, tick)
 		}
 	}
-	k.ScheduleFunc(time.Microsecond, tick)
+	k.Schedule(time.Microsecond, tick)
 	b.ResetTimer()
 	if _, err := k.Run(); err != nil {
 		b.Fatal(err)
@@ -51,7 +51,7 @@ func BenchmarkSteadyStateScheduleRun(b *testing.B) {
 }
 
 // BenchmarkScheduleFuncRunSmall drains a small (100-timer) queue per
-// iteration on the fire-and-forget path, with the free list warm across
+// iteration, ignoring every ref, with the free list warm across
 // iterations.
 func BenchmarkScheduleFuncRunSmall(b *testing.B) {
 	b.ReportAllocs()
@@ -60,7 +60,7 @@ func BenchmarkScheduleFuncRunSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 100; j++ {
-			k.ScheduleFunc(time.Duration(j)*time.Microsecond, fn)
+			k.Schedule(time.Duration(j)*time.Microsecond, fn)
 		}
 		if _, err := k.Run(); err != nil {
 			b.Fatal(err)
@@ -68,17 +68,17 @@ func BenchmarkScheduleFuncRunSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleRunSmallHandles is the same drain on the
-// handle-returning path (timers escape, no recycling) — the upper bound
-// on per-event cost for callers that need Cancel.
+// BenchmarkScheduleRunSmallHandles is the same drain keeping every
+// ref, as callers that may cancel do.
 func BenchmarkScheduleRunSmallHandles(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
 	fn := func() {}
+	refs := make([]TimerRef, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < 100; j++ {
-			k.Schedule(time.Duration(j)*time.Microsecond, fn)
+		for j := range refs {
+			refs[j] = k.Schedule(time.Duration(j)*time.Microsecond, fn)
 		}
 		if _, err := k.Run(); err != nil {
 			b.Fatal(err)
@@ -101,10 +101,10 @@ func BenchmarkDeepQueue100k(b *testing.B) {
 			k.Stop()
 			return
 		}
-		k.ScheduleFunc(depth*time.Microsecond, tick)
+		k.Schedule(depth*time.Microsecond, tick)
 	}
 	for i := 0; i < depth; i++ {
-		k.ScheduleFunc(time.Duration(i)*time.Microsecond, tick)
+		k.Schedule(time.Duration(i)*time.Microsecond, tick)
 	}
 	b.ResetTimer()
 	if _, err := k.Run(); err != nil && !errors.Is(err, ErrStopped) {
@@ -120,8 +120,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := k.Schedule(time.Hour, fn)
-		if !t.Cancel() {
+		if !k.Schedule(time.Hour, fn).Cancel() {
 			b.Fatal("cancel failed")
 		}
 	}
@@ -153,7 +152,7 @@ func BenchmarkStep(b *testing.B) {
 	fn := func() {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ScheduleFunc(time.Microsecond, fn)
+		k.Schedule(time.Microsecond, fn)
 		if !k.Step() {
 			b.Fatal("step had no event")
 		}

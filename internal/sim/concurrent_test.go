@@ -17,9 +17,9 @@ func TestConcurrentCancelDuringRun(t *testing.T) {
 	const n = 20000
 	k := NewKernel()
 	var fired atomic.Int64
-	timers := make([]*Timer, n)
-	for i := range timers {
-		timers[i] = k.Schedule(time.Duration(i%40)*time.Microsecond, func() { fired.Add(1) })
+	refs := make([]TimerRef, n)
+	for i := range refs {
+		refs[i] = k.Schedule(time.Duration(i%40)*time.Microsecond, func() { fired.Add(1) })
 	}
 
 	var cancelled atomic.Int64
@@ -29,7 +29,7 @@ func TestConcurrentCancelDuringRun(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 4 {
-				if i%3 == 0 && timers[i].Cancel() {
+				if i%3 == 0 && refs[i].Cancel() {
 					cancelled.Add(1)
 				}
 			}
@@ -52,7 +52,7 @@ func TestConcurrentCancelDuringRun(t *testing.T) {
 	}
 }
 
-// TestConcurrentScheduleDuringRun races external ScheduleFunc calls (a
+// TestConcurrentScheduleDuringRun races external Schedule calls (a
 // concurrency-safe public entry point) against a draining kernel: all
 // events scheduled before Run finishes its final batch must be counted
 // by the end of the second drain.
@@ -66,7 +66,7 @@ func TestConcurrentScheduleDuringRun(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			k.ScheduleFunc(time.Duration(i%7)*time.Microsecond, count)
+			k.Schedule(time.Duration(i%7)*time.Microsecond, count)
 		}
 	}()
 

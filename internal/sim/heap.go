@@ -4,30 +4,30 @@ package sim
 //
 // It replaces container/heap to keep the scheduling hot path free of
 // interface boxing and indirect calls: push, popMin and remove are direct
-// methods over a []*Timer slice, specialized for the kernel's composite
+// methods over a []*timer slice, specialized for the kernel's composite
 // key. A 4-ary layout halves the tree depth of a binary heap, trading a
 // few extra comparisons per level for fewer cache-missing levels — the
 // right trade for the kernel's pop-heavy workload.
 //
-// Every move keeps Timer.index in sync so Cancel can remove a pending
+// Every move keeps timer.index in sync so Cancel can remove a pending
 // timer in O(log₄ n) without searching.
 type timerHeap struct {
-	a []*Timer
+	a []*timer
 }
 
 // timerLess orders by firing instant, then by scheduling sequence so that
 // simultaneous events preserve FIFO order.
-func timerLess(x, y *Timer) bool {
+func timerLess(x, y *timer) bool {
 	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
 }
 
 func (h *timerHeap) len() int { return len(h.a) }
 
 // min returns the earliest timer. It must not be called on an empty heap.
-func (h *timerHeap) min() *Timer { return h.a[0] }
+func (h *timerHeap) min() *timer { return h.a[0] }
 
 //repolint:hotpath
-func (h *timerHeap) push(t *Timer) {
+func (h *timerHeap) push(t *timer) {
 	t.index = int32(len(h.a))
 	h.a = append(h.a, t)
 	h.siftUp(len(h.a) - 1)
@@ -36,7 +36,7 @@ func (h *timerHeap) push(t *Timer) {
 // popMin removes and returns the earliest timer.
 //
 //repolint:hotpath
-func (h *timerHeap) popMin() *Timer {
+func (h *timerHeap) popMin() *timer {
 	t := h.a[0]
 	n := len(h.a) - 1
 	last := h.a[n]
@@ -54,7 +54,7 @@ func (h *timerHeap) popMin() *Timer {
 // remove deletes the timer at heap index i.
 //
 //repolint:hotpath
-func (h *timerHeap) remove(i int) *Timer {
+func (h *timerHeap) remove(i int) *timer {
 	t := h.a[i]
 	n := len(h.a) - 1
 	last := h.a[n]

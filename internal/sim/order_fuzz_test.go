@@ -8,8 +8,8 @@ import (
 
 // This file checks the kernel's ordering contract — heap invariant plus
 // FIFO-at-same-instant — against a tiny reference scheduler, across
-// arbitrary interleavings of Schedule, ScheduleAt, ScheduleBatch, Cancel,
-// Step, Stop and RunUntil. The fuzz corpus seeds are distilled from the
+// arbitrary interleavings of Schedule (including past instants),
+// ScheduleBatch, Cancel, Step, Stop and RunUntil. The fuzz corpus seeds are distilled from the
 // op mixes of the real experiment traces: floor-control workload cycles
 // (think/hold delays with a deadline stop), polling loops (many
 // same-instant schedules), token-ring hops (chained short delays) and
@@ -177,12 +177,13 @@ func runOrderingProgram(t *testing.T, program []byte) {
 			fired = append(fired, id)
 			childID := nextID
 			nextID++
-			k.ScheduleFunc(0, record(childID))
+			k.Schedule(0, record(childID))
 		}
 	}
-	// handles holds cancellable timers side by side with the reference
-	// sequence numbers they correspond to.
-	var handles []*Timer
+	// handles holds refs side by side with the reference sequence numbers
+	// they correspond to. A ref whose timer has been recycled must stay
+	// inert, exactly like the reference's fired entry.
+	var handles []TimerRef
 	var handleSeqs []uint64
 
 	for i := 0; i+1 < len(program); i += 2 {
@@ -194,10 +195,10 @@ func runOrderingProgram(t *testing.T, program []byte) {
 			handles = append(handles, k.Schedule(arg*time.Microsecond, record(id)))
 			_, seq := ref.schedule(ref.now+arg*time.Microsecond, false)
 			handleSeqs = append(handleSeqs, seq)
-		case 2: // ScheduleAt, possibly in the past
+		case 2: // Schedule at an absolute instant, possibly in the past
 			id := nextID
 			nextID++
-			handles = append(handles, k.ScheduleAt(arg*16*time.Microsecond, record(id)))
+			handles = append(handles, k.Schedule(arg*16*time.Microsecond-k.Now(), record(id)))
 			_, seq := ref.schedule(arg*16*time.Microsecond, false)
 			handleSeqs = append(handleSeqs, seq)
 		case 3: // ScheduleBatch (fire-and-forget, FIFO within the batch)
@@ -285,7 +286,7 @@ func FuzzKernelOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 6, 0, 6, 0, 6, 0, 6, 0, 7, 251})
 	// Token-ring shape: chained short delays with cancellations.
 	f.Add([]byte{0, 3, 0, 6, 0, 9, 5, 1, 0, 12, 5, 0, 7, 249})
-	// Middleware fan-out shape: batches, a spawner, past-time ScheduleAt.
+	// Middleware fan-out shape: batches, a spawner, past-time schedules.
 	f.Add([]byte{3, 50, 4, 50, 3, 50, 2, 1, 7, 252, 2, 200, 7, 244})
 	// Stop/Step interleavings.
 	f.Add([]byte{0, 10, 7, 5, 6, 0, 0, 10, 6, 0, 7, 5, 7, 247, 6, 0})

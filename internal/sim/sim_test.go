@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,10 +63,17 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	}
 }
 
+// TestScheduleAtPastClamps schedules for an absolute instant that has
+// already passed (a delay of at-now < 0): the event runs at the current
+// instant, not in the past.
 func TestScheduleAtPastClamps(t *testing.T) {
 	k := NewKernel()
 	k.Schedule(10*time.Millisecond, func() {
-		k.ScheduleAt(time.Millisecond, func() {}) // in the past
+		k.Schedule(time.Millisecond-k.Now(), func() {
+			if k.Now() != 10*time.Millisecond {
+				t.Errorf("past event ran at %v, want 10ms", k.Now())
+			}
+		})
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -103,14 +109,14 @@ func TestReentrantScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	timer := k.Schedule(time.Second, func() { fired = true })
-	if !timer.Pending() {
+	ref := k.Schedule(time.Second, func() { fired = true })
+	if !ref.Pending() {
 		t.Fatal("timer should be pending")
 	}
-	if !timer.Cancel() {
+	if !ref.Cancel() {
 		t.Fatal("Cancel should report true for pending timer")
 	}
-	if timer.Cancel() {
+	if ref.Cancel() {
 		t.Fatal("second Cancel should report false")
 	}
 	if _, err := k.Run(); err != nil {
@@ -138,24 +144,26 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 
 func TestCancelAfterFire(t *testing.T) {
 	k := NewKernel()
-	timer := k.Schedule(0, func() {})
+	ref := k.Schedule(0, func() {})
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if timer.Cancel() {
+	if ref.Cancel() {
 		t.Fatal("Cancel after fire should report false")
 	}
-	if timer.Pending() {
+	if ref.Pending() {
 		t.Fatal("fired timer should not be pending")
 	}
 }
 
+// TestCancelNil pins that a ref without a timer is inert whatever its
+// sequence number.
 func TestCancelNil(t *testing.T) {
-	var timer *Timer
-	if timer.Cancel() {
+	ref := TimerRef{seq: 1}
+	if ref.Cancel() {
 		t.Fatal("nil timer Cancel should be false")
 	}
-	if timer.Pending() {
+	if ref.Pending() {
 		t.Fatal("nil timer Pending should be false")
 	}
 }
@@ -226,17 +234,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	k := NewKernel(WithEventLimit(100))
-	var loop func()
-	loop = func() { k.Schedule(0, loop) }
-	k.Schedule(0, loop)
-	_, err := k.Run()
-	if err == nil {
-		t.Fatal("expected event-limit error")
-	}
-}
-
 func TestStep(t *testing.T) {
 	k := NewKernel()
 	fired := 0
@@ -253,31 +250,6 @@ func TestStep(t *testing.T) {
 	}
 	if k.Step() {
 		t.Fatal("Step on empty queue should report false")
-	}
-}
-
-// TestEventLimitKeepsClockAtLastExecuted pins the abort semantics: when
-// the event limit trips, Now() and the error report the last *executed*
-// instant, not the instant of the event that would have run next.
-func TestEventLimitKeepsClockAtLastExecuted(t *testing.T) {
-	k := NewKernel(WithEventLimit(1))
-	k.Schedule(time.Millisecond, func() {})
-	k.Schedule(2*time.Millisecond, func() {})
-	n, err := k.Run()
-	if err == nil {
-		t.Fatal("expected event-limit error")
-	}
-	if n != 1 {
-		t.Fatalf("executed %d, want 1", n)
-	}
-	if k.Now() != time.Millisecond {
-		t.Fatalf("Now = %v, want 1ms (last executed instant)", k.Now())
-	}
-	if !strings.Contains(err.Error(), "t=1ms") {
-		t.Fatalf("error %q should report t=1ms", err)
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
 	}
 }
 
@@ -301,11 +273,14 @@ func TestStepHonorsStop(t *testing.T) {
 	}
 }
 
+// TestScheduleFuncFIFOWithSchedule pins one FIFO across both scheduling
+// calls: same-instant events from Schedule and ScheduleBatch run in the
+// order they were scheduled.
 func TestScheduleFuncFIFOWithSchedule(t *testing.T) {
 	k := NewKernel()
 	var got []int
 	k.Schedule(time.Millisecond, func() { got = append(got, 1) })
-	k.ScheduleFunc(time.Millisecond, func() { got = append(got, 2) })
+	k.ScheduleBatch([]BatchEntry{{Delay: time.Millisecond, Fn: func() { got = append(got, 2) }}})
 	k.Schedule(time.Millisecond, func() { got = append(got, 3) })
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -352,26 +327,26 @@ func TestScheduleBatchNilFuncPanics(t *testing.T) {
 }
 
 // TestFreeListReuse pins the allocation-free steady state: after warm-up,
-// the fire-and-forget path must recycle timers instead of allocating.
+// scheduling must recycle timers instead of allocating.
 func TestFreeListReuse(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
 	for i := 0; i < 100; i++ {
-		k.ScheduleFunc(time.Duration(i)*time.Microsecond, fn)
+		k.Schedule(time.Duration(i)*time.Microsecond, fn)
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("warm-up Run: %v", err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 100; i++ {
-			k.ScheduleFunc(time.Duration(i)*time.Microsecond, fn)
+			k.Schedule(time.Duration(i)*time.Microsecond, fn)
 		}
 		if _, err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("steady-state ScheduleFunc+Run allocates %.1f per 100-event cycle, want ~0", allocs)
+		t.Fatalf("steady-state Schedule+Run allocates %.1f per 100-event cycle, want ~0", allocs)
 	}
 }
 
@@ -473,14 +448,14 @@ func TestPropertyCancelSubset(t *testing.T) {
 	prop := func(delays []uint8, mask []bool) bool {
 		k := NewKernel()
 		fired := 0
-		var timers []*Timer
+		var refs []TimerRef
 		for _, d := range delays {
-			timers = append(timers, k.Schedule(time.Duration(d)*time.Millisecond, func() { fired++ }))
+			refs = append(refs, k.Schedule(time.Duration(d)*time.Millisecond, func() { fired++ }))
 		}
 		cancelled := 0
-		for i, timer := range timers {
+		for i, ref := range refs {
 			if i < len(mask) && mask[i] {
-				if timer.Cancel() {
+				if ref.Cancel() {
 					cancelled++
 				}
 			}
@@ -511,7 +486,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 func TestScheduleFuncRefCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	ref := k.ScheduleFuncRef(time.Second, func() { fired = true })
+	ref := k.Schedule(time.Second, func() { fired = true })
 	if !ref.Pending() {
 		t.Fatal("ref should be pending")
 	}
@@ -543,12 +518,12 @@ func TestTimerRefZeroValueInert(t *testing.T) {
 }
 
 // TestTimerRefStaleAfterRecycle pins the aliasing guarantee: once a
-// fire-and-forget timer fires and its struct is recycled into a later
+// timer fires and its struct is recycled into a later
 // event, a retained ref to the earlier event must be inert — it must not
 // cancel (or report pending for) the recycled timer.
 func TestTimerRefStaleAfterRecycle(t *testing.T) {
 	k := NewKernel()
-	ref := k.ScheduleFuncRef(0, func() {})
+	ref := k.Schedule(0, func() {})
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -558,7 +533,7 @@ func TestTimerRefStaleAfterRecycle(t *testing.T) {
 	// Burn through the free list until the original struct is reused.
 	fired := 0
 	for i := 0; i < 16; i++ {
-		k.ScheduleFuncRef(0, func() { fired++ })
+		k.Schedule(0, func() { fired++ })
 	}
 	if ref.Cancel() || ref.Pending() {
 		t.Fatal("stale ref must stay inert after its timer is recycled")
@@ -571,32 +546,32 @@ func TestTimerRefStaleAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestScheduleFuncRefRecycles verifies the ref path still rides the free
-// list: an arm/fire/re-arm loop must not allocate at steady state.
+// TestScheduleFuncRefRecycles verifies that a kept ref does not pin its
+// timer: an arm/fire/re-arm loop must not allocate at steady state.
 func TestScheduleFuncRefRecycles(t *testing.T) {
 	k := NewKernel()
 	allocs := testing.AllocsPerRun(1000, func() {
-		ref := k.ScheduleFuncRef(0, func() {})
+		ref := k.Schedule(0, func() {})
 		_ = ref
 		k.Step()
 	})
 	if allocs > 0 {
-		t.Fatalf("ScheduleFuncRef+Step allocated %.1f per op, want 0", allocs)
+		t.Fatalf("Schedule+Step allocated %.1f per op, want 0", allocs)
 	}
 }
 
-// TestScheduleFuncRefCancelInBatch cancels a same-instant ref from an
+// TestScheduleFuncRefCancelInBatch cancels a same-instant event from an
 // earlier event of the same batch (the stateRunnable CAS path).
 func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var ref TimerRef
-	k.ScheduleFunc(time.Millisecond, func() {
+	k.Schedule(time.Millisecond, func() {
 		if !ref.Cancel() {
 			t.Error("in-batch Cancel should report true")
 		}
 	})
-	ref = k.ScheduleFuncRef(time.Millisecond, func() { fired = true })
+	ref = k.Schedule(time.Millisecond, func() { fired = true })
 	if _, err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -605,38 +580,48 @@ func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 	}
 }
 
-func TestEventLimitAbortsMidBatch(t *testing.T) {
-	k := NewKernel(WithEventLimit(2))
+// TestStopMidInstant calls Stop from a handler in the middle of a
+// same-instant batch: Run returns ErrStopped, the unexecuted tail goes
+// back into the heap under its original keys, and the next Run replays
+// it in FIFO order.
+func TestStopMidInstant(t *testing.T) {
+	k := NewKernel()
 	var got []int
-	for i := 0; i < 4; i++ {
+	refs := make([]TimerRef, 4)
+	for i := range refs {
 		i := i
-		k.ScheduleFunc(time.Millisecond, func() { got = append(got, i) })
+		refs[i] = k.Schedule(time.Millisecond, func() {
+			got = append(got, i)
+			if i == 1 {
+				k.Stop()
+			}
+		})
 	}
-	// All four share one instant, so the limit trips mid-batch and the
-	// unexecuted tail must go back into the heap under its original keys.
 	n, err := k.Run()
-	if err == nil || n != 2 {
-		t.Fatalf("limited Run = (%d, %v), want 2 events and a limit error", n, err)
+	if !errors.Is(err, ErrStopped) || n != 2 {
+		t.Fatalf("stopped Run = (%d, %v), want 2 events and ErrStopped", n, err)
 	}
 	if k.Pending() != 2 {
-		t.Fatalf("Pending = %d after mid-batch abort, want 2", k.Pending())
+		t.Fatalf("Pending = %d after mid-instant stop, want 2", k.Pending())
 	}
-	// The limit bounds each Run call, so the next call replays the tail.
+	for i, ref := range refs {
+		if want := i >= 2; ref.Pending() != want {
+			t.Fatalf("ref %d Pending = %v, want %v", i, ref.Pending(), want)
+		}
+	}
+	if k.Now() != time.Millisecond {
+		t.Fatalf("Now = %v, want 1ms", k.Now())
+	}
 	if n, err := k.Run(); err != nil || n != 2 {
 		t.Fatalf("replay Run = (%d, %v), want (2, nil)", n, err)
 	}
-	want := []int{0, 1, 2, 3} // replay preserves the original FIFO order
+	want := []int{0, 1, 2, 3}
+	if len(got) != len(want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
 		}
-	}
-}
-
-func TestTimerWhen(t *testing.T) {
-	k := NewKernel()
-	tm := k.Schedule(7*time.Millisecond, func() {})
-	if tm.When() != 7*time.Millisecond {
-		t.Fatalf("When = %v, want 7ms", tm.When())
 	}
 }

@@ -30,7 +30,7 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 		decPingReq,
 		encPingResp,
 		func(req pingReq, respond func(pingResp, error)) {
-			k.ScheduleFunc(50*time.Millisecond, func() { respond(pingResp{N: req.N + 1}, nil) })
+			k.Schedule(50*time.Millisecond, func() { respond(pingResp{N: req.N + 1}, nil) })
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +53,13 @@ func TestPortCrashBeforeDeadline(t *testing.T) {
 	}
 	// Crash before the deadline: the pending call must fail now, not at
 	// 100ms, and not again when the late reply lands at ~51ms.
-	k.ScheduleFunc(10*time.Millisecond, func() { p.NodeDown("node-s") })
+	k.Schedule(10*time.Millisecond, func() { p.NodeDown("node-s") })
 
 	// After restart, the same port must serve again off the reclaimed
 	// pool state.
 	var second int
 	var secondErr error
-	k.ScheduleFunc(200*time.Millisecond, func() {
+	k.Schedule(200*time.Millisecond, func() {
 		p.NodeUp("node-s")
 		if err := port.Call("node-c", pingReq{N: 7}, func(_ pingResp, e error) {
 			second++
@@ -119,7 +119,7 @@ func TestExportRebindFailover(t *testing.T) {
 	p.NodeDown("node-s")
 	var got pingResp
 	var callErr error
-	k.ScheduleFunc(time.Millisecond, func() {
+	k.Schedule(time.Millisecond, func() {
 		// Failover: re-home the crashed export, then retry.
 		if err := p.Rebind("server", "node-t", middleware.ObjectFunc(
 			func(op string, args codec.MsgView, reply middleware.Reply) {

@@ -166,7 +166,7 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 	s.cont = cont
 	if p.cfg.deadline > 0 {
 		s.deadline = true
-		s.timer = p.b.kernel.ScheduleFuncRef(p.cfg.deadline, s.onDeadline)
+		s.timer = p.b.kernel.Schedule(p.cfg.deadline, s.onDeadline)
 	}
 	if err := p.b.plat.Invoke(from, p.target, p.op, args, s.onReply); err != nil {
 		s.timer.Cancel()

@@ -297,7 +297,7 @@ func TestDeadlineFiresContinuationExactlyOnce(t *testing.T) {
 	}
 	// Release the stashed reply well after the deadline: the late reply
 	// must be dropped, not delivered as a second continuation firing.
-	k.ScheduleFunc(50*time.Millisecond, func() { stashed(pingResp{N: 99}, nil) })
+	k.Schedule(50*time.Millisecond, func() { stashed(pingResp{N: 99}, nil) })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func TestStaleRespondCannotHijackLaterDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k.ScheduleFunc(10*time.Millisecond, func() {
+	k.Schedule(10*time.Millisecond, func() {
 		stashed[0](pingResp{N: 101}, nil) // call 1 answered
 		stashed[0](pingResp{N: 666}, nil) // stale duplicate: must vanish
 		stashed[1](pingResp{N: 102}, nil) // call 2 answered
