@@ -57,6 +57,7 @@ func TestChecksRegistry(t *testing.T) {
 		"wallclock":  "simdeterminism",
 		"globalrand": "simdeterminism",
 		"env":        "simdeterminism",
+		"sync":       "simdeterminism",
 		"mapiter":    "mapiter",
 		"poolalias":  "poolalias",
 		"bufleak":    "poolalias",

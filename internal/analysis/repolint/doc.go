@@ -10,9 +10,11 @@
 // The suite (see DESIGN.md §1.5 for the full contract of each):
 //
 //   - simdeterminism — in the deterministic packages (sim, protocol,
-//     network, middleware, svc, floorcontrol, mda, runner, metrics),
-//     forbid wall-clock time, ambient process randomness, and
-//     environment reads. Checks: wallclock, globalrand, env.
+//     network, fault, middleware, svc, floorcontrol, mda, runner,
+//     metrics, core), forbid wall-clock time, ambient process
+//     randomness, environment reads, and sync or sync/atomic imports
+//     in non-test files (a simulation stack is owned by one goroutine).
+//     Checks: wallclock, globalrand, env, sync.
 //   - mapiter — flag a `range` over a map whose body feeds
 //     order-sensitive output (slice appends, float accumulation,
 //     writes, channel sends) with no subsequent sort. Check: mapiter.

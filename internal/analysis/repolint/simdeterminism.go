@@ -3,6 +3,7 @@ package repolint
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -11,14 +12,17 @@ import (
 )
 
 // Simdeterminism forbids wall-clock time, ambient process randomness,
-// and environment reads inside the deterministic packages. Everything
-// those packages compute must be a pure function of the scenario
-// parameters and the kernel seed — that is what makes the 120-scenario
-// sweep CSV byte-identical at any worker count. Simulated time comes
-// from sim.Kernel.Now; randomness from the kernel-seeded *rand.Rand.
+// environment reads and synchronisation inside the deterministic
+// packages. Everything those packages compute must be a pure function of
+// the scenario parameters and the kernel seed — that is what makes the
+// 120-scenario sweep CSV byte-identical at any worker count. Simulated
+// time comes from sim.Kernel.Now; randomness from the kernel-seeded
+// *rand.Rand. A simulation stack is owned by one goroutine (see package
+// sim), so a deterministic package has no use for sync or sync/atomic;
+// the sweep's worker pool in runner is the one allowed exception.
 var Simdeterminism = &analysis.Analyzer{
 	Name:     "simdeterminism",
-	Doc:      "forbid wall-clock, ambient randomness, and env reads in deterministic packages (checks: wallclock, globalrand, env)",
+	Doc:      "forbid wall-clock, ambient randomness, env reads and sync imports in deterministic packages (checks: wallclock, globalrand, env, sync)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runSimdeterminism,
 }
@@ -37,6 +41,7 @@ var deterministicPkgs = []string{
 	"repro/internal/mda",
 	"repro/internal/runner",
 	"repro/internal/metrics",
+	"repro/internal/core",
 }
 
 func isDeterministicPkg(path string) bool {
@@ -76,6 +81,18 @@ func runSimdeterminism(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	allows := CollectAllows(pass)
+	for _, f := range pass.Files {
+		if isTestFile(pass.Fset, f.Pos()) {
+			continue
+		}
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && (path == "sync" || path == "sync/atomic") {
+				allows.Report(pass, spec.Pos(), "sync",
+					"deterministic package %s imports %s; a simulation stack is owned by one goroutine (see package sim), so it takes no locks", pass.Pkg.Path(), path)
+			}
+		}
+	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node) {
 		sel := n.(*ast.SelectorExpr)

@@ -16,6 +16,11 @@ import "sync"
 //
 // After Release the buffer (and any slice aliasing buf.B) must not be
 // touched: it will be handed to an unrelated caller.
+//
+// The pool behind GetBuffer is a package-level sync.Pool, and it is the
+// one piece of the simulation stack that stays synchronised: every stack
+// is owned by a single goroutine, but a sweep runs many stacks on
+// concurrent workers and all of them draw from this one pool.
 type Buffer struct {
 	B []byte
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -26,7 +25,6 @@ type Observer struct {
 	spec  *ServiceSpec
 	clock Clock
 
-	mu         sync.Mutex
 	trace      Trace
 	monitors   []Monitor
 	violations []error
@@ -69,8 +67,6 @@ func (o *Observer) Spec() *ServiceSpec { return o.spec }
 // system: violations are reported, not enforced.
 func (o *Observer) Observe(sap SAP, primitive string, params codec.Record) error {
 	e := Event{At: o.clock.Now(), SAP: sap, Primitive: primitive, Params: params}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.trace = append(o.trace, e)
 	var first error
 	if o.strictKind {
@@ -93,8 +89,6 @@ func (o *Observer) Observe(sap SAP, primitive string, params codec.Record) error
 // Complete closes the observation window, running end-of-trace (liveness)
 // checks. It returns the first violation found over the whole run.
 func (o *Observer) Complete() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	for _, m := range o.monitors {
 		if err := m.AtEnd(); err != nil {
 			o.violations = append(o.violations, err)
@@ -108,8 +102,6 @@ func (o *Observer) Complete() error {
 
 // Err returns the first violation observed so far, or nil.
 func (o *Observer) Err() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if len(o.violations) > 0 {
 		return o.violations[0]
 	}
@@ -118,22 +110,16 @@ func (o *Observer) Err() error {
 
 // Violations returns all violations observed so far.
 func (o *Observer) Violations() []error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return append([]error(nil), o.violations...)
 }
 
 // Trace returns a copy of the recorded global trace.
 func (o *Observer) Trace() Trace {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return append(Trace(nil), o.trace...)
 }
 
 // EventCount returns the number of observed events without copying.
 func (o *Observer) EventCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	return len(o.trace)
 }
 

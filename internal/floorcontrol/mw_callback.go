@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/middleware"
 	"repro/internal/svc"
@@ -105,7 +104,6 @@ type callbackController struct {
 	exp    *svc.Export
 	grants map[string]*svc.Port[grantArgs, ack]
 
-	mu   sync.Mutex
 	q    *resourceQueue
 	home middleware.Addr // current hosting node (moves on failover)
 	seen seenSeqs
@@ -133,8 +131,6 @@ func (c *callbackController) export(b *svc.Binding, nm names) error {
 
 // node returns the controller's current hosting node.
 func (c *callbackController) node() middleware.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.home
 }
 
@@ -144,16 +140,12 @@ func (c *callbackController) failover(node middleware.Addr) error {
 	if err := c.exp.Rebind(node); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.home = node
-	c.mu.Unlock()
 	return nil
 }
 
 func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, error)) {
-	c.mu.Lock()
 	if !c.q.known(a.Res) {
-		c.mu.Unlock()
 		respond(ack{}, fmt.Errorf("unknown resource %q", a.Res))
 		return
 	}
@@ -161,7 +153,6 @@ func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, err
 		// At-least-once redelivery: the intention is already registered
 		// (the first ack was lost to a crash) and a grant is delivered
 		// or in retry. Ack again without touching the queue.
-		c.mu.Unlock()
 		respond(ack{}, nil)
 		return
 	}
@@ -170,7 +161,6 @@ func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, err
 	if !granted {
 		c.q.enqueue(a.Sub, a.Res)
 	}
-	c.mu.Unlock()
 	respond(ack{}, nil) // intention registered
 	if granted {
 		c.grant(a.Sub, a.Res, a.Seq)
@@ -178,10 +168,8 @@ func (c *callbackController) requestPermission(a ctrlArgs, respond func(ack, err
 }
 
 func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
-	c.mu.Lock()
 	if c.seen.dup(a.Sub, a.Seq) {
 		// Redelivered free: already released (and possibly re-granted).
-		c.mu.Unlock()
 		respond(ack{}, nil)
 		return
 	}
@@ -190,7 +178,6 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 	if ok {
 		nextSeq = c.reqSeq[next]
 	}
-	c.mu.Unlock()
 	if err != nil {
 		respond(ack{}, err)
 		return
@@ -211,9 +198,7 @@ func (c *callbackController) free(a ctrlArgs, respond func(ack, error)) {
 // re-arms it after a poll interval. Redelivery is safe because the
 // subscriber dedups grants by Seq when the first copy did land.
 func (c *callbackController) grant(sub, res string, seq uint64) {
-	c.mu.Lock()
 	home := c.home
-	c.mu.Unlock()
 	var cont func(ack, error)
 	if c.env.Churn {
 		cont = func(_ ack, err error) {
@@ -248,7 +233,6 @@ type mwCallbackPart struct {
 	request *svc.Port[ctrlArgs, ack]
 	free    *svc.Port[ctrlArgs, ack]
 
-	mu      sync.Mutex
 	pending map[string]pendingGrant // resource → outstanding acquire
 	seq     uint64                  // submission counter (churn only)
 }
@@ -268,13 +252,11 @@ func (p *mwCallbackPart) export(b *svc.Binding, nm names) error {
 }
 
 func (p *mwCallbackPart) onGrant(a grantArgs, respond func(ack, error)) {
-	p.mu.Lock()
 	pend, ok := p.pending[a.Res]
 	match := ok && pend.seq == a.Seq
 	if match {
 		delete(p.pending, a.Res)
 	}
-	p.mu.Unlock()
 	respond(ack{}, nil)
 	if p.env.Churn && !match {
 		// Duplicate grant: a churn retry whose first copy landed before
@@ -293,13 +275,11 @@ func (p *mwCallbackPart) onGrant(a grantArgs, respond func(ack, error)) {
 func (p *mwCallbackPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
 	args := ctrlArgs{Sub: p.sub, Res: res}
-	p.mu.Lock()
 	if p.env.Churn {
 		p.seq++
 		args.Seq = p.seq
 	}
 	p.pending[res] = pendingGrant{done: done, seq: args.Seq}
-	p.mu.Unlock()
 	sendCtrl(p.env, p.request, middleware.Addr(p.sub), args, "request_permission")
 }
 
@@ -308,10 +288,8 @@ func (p *mwCallbackPart) Release(res string) {
 	p.env.observe(p.sub, PrimFree, res)
 	args := ctrlArgs{Sub: p.sub, Res: res}
 	if p.env.Churn {
-		p.mu.Lock()
 		p.seq++
 		args.Seq = p.seq
-		p.mu.Unlock()
 	}
 	sendCtrl(p.env, p.free, middleware.Addr(p.sub), args, "free")
 }

@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -110,7 +109,6 @@ func (s *MWPolling) Build(env *Env) (map[string]AppPart, error) {
 type pollingController struct {
 	exp *svc.Export
 
-	mu   sync.Mutex
 	q    *resourceQueue
 	home middleware.Addr
 	seen seenSeqs
@@ -141,8 +139,6 @@ func (c *pollingController) export(b *svc.Binding, nm names) error {
 
 // node returns the controller's current hosting node.
 func (c *pollingController) node() middleware.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.home
 }
 
@@ -151,22 +147,17 @@ func (c *pollingController) failover(node middleware.Addr) error {
 	if err := c.exp.Rebind(node); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.home = node
-	c.mu.Unlock()
 	return nil
 }
 
 func (c *pollingController) isAvailable(a ctrlArgs, respond func(availReply, error)) {
-	c.mu.Lock()
 	if !c.q.known(a.Res) {
-		c.mu.Unlock()
 		respond(availReply{}, fmt.Errorf("unknown resource %q", a.Res))
 		return
 	}
 	if a.Seq != 0 && c.q.holder[a.Res] == a.Sub && c.holderSeq[a.Res] == a.Seq {
 		// Redelivered probe of the test-and-set that already acquired.
-		c.mu.Unlock()
 		respond(availReply{Available: true}, nil)
 		return
 	}
@@ -174,20 +165,16 @@ func (c *pollingController) isAvailable(a ctrlArgs, respond func(availReply, err
 	if got {
 		c.holderSeq[a.Res] = a.Seq
 	}
-	c.mu.Unlock()
 	respond(availReply{Available: got}, nil)
 }
 
 func (c *pollingController) free(a ctrlArgs, respond func(ack, error)) {
-	c.mu.Lock()
 	if c.seen.dup(a.Sub, a.Seq) {
 		// Redelivered free: already released.
-		c.mu.Unlock()
 		respond(ack{}, nil)
 		return
 	}
 	_, _, err := c.q.release(a.Sub, a.Res)
-	c.mu.Unlock()
 	if err != nil {
 		respond(ack{}, err)
 		return
@@ -203,7 +190,6 @@ type mwPollingPart struct {
 	isAvailable *svc.Port[ctrlArgs, availReply]
 	free        *svc.Port[ctrlArgs, ack]
 
-	mu  sync.Mutex
 	seq uint64 // submission counter (churn only)
 }
 
@@ -214,10 +200,8 @@ func (p *mwPollingPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
 	var seq uint64
 	if p.env.Churn {
-		p.mu.Lock()
 		p.seq++
 		seq = p.seq
-		p.mu.Unlock()
 	}
 	p.poll(res, done, seq)
 }
@@ -254,10 +238,8 @@ func (p *mwPollingPart) Release(res string) {
 	p.env.observe(p.sub, PrimFree, res)
 	args := ctrlArgs{Sub: p.sub, Res: res}
 	if p.env.Churn {
-		p.mu.Lock()
 		p.seq++
 		args.Seq = p.seq
-		p.mu.Unlock()
 	}
 	sendCtrl(p.env, p.free, middleware.Addr(p.sub), args, "free")
 }

@@ -3,7 +3,6 @@ package floorcontrol
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -140,7 +139,6 @@ type mwTokenPart struct {
 	next string
 	pass *svc.Port[tokenArgs, ack]
 
-	mu        sync.Mutex
 	wantRes   string
 	wantDone  func()
 	toRelease []string
@@ -164,12 +162,10 @@ func (p *mwTokenPart) export(b *svc.Binding, nm names) error {
 
 func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {
 	if t.Gen != 0 {
-		p.mu.Lock()
 		dup := t.Gen <= p.seenGen
 		if !dup {
 			p.seenGen = t.Gen
 		}
-		p.mu.Unlock()
 		if dup {
 			// At-least-once redelivery of a pass whose first copy landed:
 			// the token has moved on. Acknowledging without acting keeps
@@ -187,7 +183,6 @@ func (p *mwTokenPart) onPass(t tokenArgs, respond func(ack, error)) {
 // gen is the generation this part received the token at (zero fault-free);
 // the forwarded token carries gen+1.
 func (p *mwTokenPart) onToken(avail []string, gen uint64) {
-	p.mu.Lock()
 	// Insert releases accumulated since the last visit.
 	avail = append(avail, p.toRelease...)
 	p.toRelease = nil
@@ -205,7 +200,6 @@ func (p *mwTokenPart) onToken(avail []string, gen uint64) {
 			}
 		}
 	}
-	p.mu.Unlock()
 	if granted != nil {
 		p.env.observe(p.sub, PrimGranted, grantedRes)
 		granted()
@@ -247,8 +241,6 @@ func (p *mwTokenPart) forward(avail []string, gen uint64) {
 // Acquire implements AppPart: registers interest; the token visit grants.
 func (p *mwTokenPart) Acquire(res string, done func()) {
 	p.env.observe(p.sub, PrimRequest, res)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.wantRes != "" {
 		panic(fmt.Sprintf("floorcontrol: %q has outstanding acquire of %q", p.sub, p.wantRes))
 	}
@@ -259,7 +251,5 @@ func (p *mwTokenPart) Acquire(res string, done func()) {
 // next token visit.
 func (p *mwTokenPart) Release(res string) {
 	p.env.observe(p.sub, PrimFree, res)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.toRelease = append(p.toRelease, res)
 }

@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -61,8 +60,7 @@ func PIM(resources []string) *mda.PIM {
 type pimController struct {
 	ctx *mda.LogicContext
 
-	mu sync.Mutex
-	q  *resourceQueue
+	q *resourceQueue
 }
 
 var _ mda.Component = (*pimController)(nil)
@@ -83,24 +81,19 @@ func (c *pimController) OnMessage(from mda.ComponentID, msg codec.Message) error
 	res, _ := msg.Fields[ParamResource].(string)
 	switch msg.Name {
 	case "request":
-		c.mu.Lock()
 		if !c.q.known(res) {
-			c.mu.Unlock()
 			return fmt.Errorf("floorcontrol: request for unknown resource %q", res)
 		}
 		granted := c.q.tryAcquire(string(from), res)
 		if !granted {
 			c.q.enqueue(string(from), res)
 		}
-		c.mu.Unlock()
 		if granted {
 			return c.grant(from, res)
 		}
 		return nil
 	case "free":
-		c.mu.Lock()
 		next, ok, err := c.q.release(string(from), res)
-		c.mu.Unlock()
 		if err != nil {
 			return err
 		}

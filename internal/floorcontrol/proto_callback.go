@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/protocol"
@@ -105,8 +104,7 @@ type callbackCtrlEntity struct {
 	names names
 	ctx   *protocol.Context
 
-	mu sync.Mutex
-	q  *resourceQueue
+	q *resourceQueue
 }
 
 var _ protocol.Entity = (*callbackCtrlEntity)(nil)
@@ -129,24 +127,19 @@ func (e *callbackCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) erro
 	sub, res := e.names.str(subB), e.names.str(resB)
 	switch string(pdu.Name()) {
 	case "request":
-		e.mu.Lock()
 		if !e.q.known(res) {
-			e.mu.Unlock()
 			return fmt.Errorf("floorcontrol: request for unknown resource %q", res)
 		}
 		granted := e.q.tryAcquire(sub, res)
 		if !granted {
 			e.q.enqueue(sub, res)
 		}
-		e.mu.Unlock()
 		if granted {
 			return e.grant(sub, res)
 		}
 		return nil
 	case "free":
-		e.mu.Lock()
 		next, ok, err := e.q.release(sub, res)
-		e.mu.Unlock()
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -19,7 +18,6 @@ type serviceAppPart struct {
 	provider core.Provider
 	sap      core.SAP
 
-	mu      sync.Mutex
 	pending map[string]func() // resource → completion
 }
 
@@ -37,10 +35,8 @@ func (p *serviceAppPart) onPrimitive(primitive string, params codec.Record) {
 		return
 	}
 	res, _ := params[ParamResource].(string)
-	p.mu.Lock()
 	done := p.pending[res]
 	delete(p.pending, res)
-	p.mu.Unlock()
 	if done != nil {
 		done()
 	}
@@ -48,9 +44,7 @@ func (p *serviceAppPart) onPrimitive(primitive string, params codec.Record) {
 
 // Acquire implements AppPart by executing the request primitive.
 func (p *serviceAppPart) Acquire(res string, done func()) {
-	p.mu.Lock()
 	p.pending[res] = done
-	p.mu.Unlock()
 	if err := p.provider.Submit(p.sap, PrimRequest, codec.Record{ParamResource: res}); err != nil {
 		panic(fmt.Sprintf("floorcontrol: request at %s: %v", p.sap, err))
 	}

@@ -2,7 +2,6 @@ package floorcontrol
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -70,7 +69,6 @@ type pollingSubEntity struct {
 	interval   time.Duration
 	ctx        *protocol.Context
 
-	mu      sync.Mutex
 	waiting map[string]bool // resources being polled for
 }
 
@@ -88,9 +86,7 @@ func (e *pollingSubEntity) FromUser(primitive string, params codec.Record) error
 	res, _ := params[ParamResource].(string)
 	switch primitive {
 	case PrimRequest:
-		e.mu.Lock()
 		e.waiting[res] = true
-		e.mu.Unlock()
 		return e.probe(res)
 	case PrimFree:
 		return sendResSub(e.ctx, e.controller, pduFree, res)
@@ -111,12 +107,10 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 	resB, _ := pdu.Str(ParamResource)
 	res := e.names.str(resB)
 	avail, _ := pdu.Bool("available")
-	e.mu.Lock()
 	waiting := e.waiting[res]
 	if avail && waiting {
 		delete(e.waiting, res)
 	}
-	e.mu.Unlock()
 	if !waiting {
 		return nil // stale response
 	}
@@ -125,9 +119,7 @@ func (e *pollingSubEntity) FromPeer(_ protocol.Addr, pdu codec.MsgView) error {
 		return nil
 	}
 	e.ctx.Schedule(e.interval, func() {
-		e.mu.Lock()
 		still := e.waiting[res]
-		e.mu.Unlock()
 		if still {
 			_ = e.probe(res) //nolint:errcheck // probe failure retried on next interval
 		}
@@ -141,8 +133,7 @@ type pollingCtrlEntity struct {
 	names names
 	ctx   *protocol.Context
 
-	mu sync.Mutex
-	q  *resourceQueue
+	q *resourceQueue
 }
 
 var _ protocol.Entity = (*pollingCtrlEntity)(nil)
@@ -165,22 +156,17 @@ func (e *pollingCtrlEntity) FromPeer(src protocol.Addr, pdu codec.MsgView) error
 	sub, res := e.names.str(subB), e.names.str(resB)
 	switch string(pdu.Name()) {
 	case "is_available_req":
-		e.mu.Lock()
 		if !e.q.known(res) {
-			e.mu.Unlock()
 			return fmt.Errorf("floorcontrol: probe for unknown resource %q", res)
 		}
 		got := e.q.tryAcquire(sub, res)
-		e.mu.Unlock()
 		buf := codec.GetBuffer()
 		enc := pduAvail.Encoder(buf.B[:0])
 		enc.Bool("available", got)
 		enc.Str(ParamResource, res)
 		return sendPDU(e.ctx, protocol.Addr(sub), buf, &enc)
 	case "free":
-		e.mu.Lock()
 		_, _, err := e.q.release(sub, res)
-		e.mu.Unlock()
 		return err
 	default:
 		return fmt.Errorf("floorcontrol: unexpected PDU %q at polling controller from %s", pdu.Name(), src)

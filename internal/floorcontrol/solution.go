@@ -318,8 +318,7 @@ func (n names) str(b []byte) string {
 // Retries can arrive after later fresh submissions from the same
 // subscriber (a limbo free redelivered after the next cycle's request),
 // so this must be an exact per-subscriber set — a high-watermark would
-// silently drop the reordered original. Callers serialize access under
-// the controller mutex.
+// silently drop the reordered original.
 type seenSeqs map[string]map[uint64]struct{}
 
 // dup reports whether (sub, seq) was already processed, recording fresh

@@ -3,7 +3,6 @@ package mda
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -100,7 +99,6 @@ type Deployment struct {
 	registered map[ComponentID]bool
 	queued     map[ComponentID]bool
 
-	mu      sync.Mutex
 	sapOf   map[ComponentID]core.SAP
 	binding map[core.SAP]ComponentID
 	upcalls map[core.SAP]func(string, codec.Record)
@@ -120,9 +118,7 @@ func (d *Deployment) MessagingName() string { return d.messaging.name() }
 
 // Submit implements core.Provider.
 func (d *Deployment) Submit(sap core.SAP, primitive string, params codec.Record) error {
-	d.mu.Lock()
 	id, ok := d.binding[sap]
-	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("mda: SAP %s not bound", sap)
 	}
@@ -135,19 +131,15 @@ func (d *Deployment) Submit(sap core.SAP, primitive string, params codec.Record)
 
 // Attach implements core.Provider.
 func (d *Deployment) Attach(sap core.SAP, handler func(string, codec.Record)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.upcalls[sap] = handler
 }
 
 func (d *Deployment) deliverToUser(id ComponentID, primitive string, params codec.Record) {
-	d.mu.Lock()
 	sap, ok := d.sapOf[id]
 	var fn func(string, codec.Record)
 	if ok {
 		fn = d.upcalls[sap]
 	}
-	d.mu.Unlock()
 	if fn != nil {
 		fn(primitive, params)
 	}

@@ -12,9 +12,7 @@ func (p *Platform) HandleWire(peer, node Addr, data []byte) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	srcLow := p.nodeLows[peerID]
-	p.mu.Unlock()
 	p.handleWire(peer, srcLow, atID, data)
 	return nil
 }

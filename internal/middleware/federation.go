@@ -55,7 +55,7 @@ func WithFederation(leaves ...Addr) Option {
 }
 
 // federation is the broker tree's root-side state: the leaf table and
-// the per-topic shard rows. Guarded by Platform.mu.
+// the per-topic shard rows.
 type federation struct {
 	leaves  []Addr
 	leafIDs []int32 // platform node id per leaf, -1 until attached
@@ -89,10 +89,10 @@ func (ft *fedTopic) enroll(low int32, leaves int) int {
 	return li
 }
 
-// leafIndexOfLocked reports which leaf (if any) the platform node id
-// belongs to. Caller holds p.mu. The leaf table is small (a handful of
+// leafIndexOf reports which leaf (if any) the platform node id
+// belongs to. The leaf table is small (a handful of
 // leaves), so a linear scan beats any index.
-func (p *Platform) leafIndexOfLocked(nodeID int32) int {
+func (p *Platform) leafIndexOf(nodeID int32) int {
 	if p.fed == nil {
 		return -1
 	}
@@ -114,8 +114,6 @@ func (p *Platform) AttachRuntime(node Addr) (int32, error) {
 	if err != nil {
 		return -1, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.nodeLows[id], nil
 }
 
@@ -141,10 +139,8 @@ func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
 	low := p.nodeLows[nodeID]
 	if low < 0 {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: node %q has no transport endpoint id", ErrFederation, node)
 	}
 	ft := p.fed.topics[topic]
@@ -154,8 +150,7 @@ func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
 	}
 	li := ft.enroll(low, len(p.fed.leaves))
 	leaf := p.fed.leaves[li]
-	p.eventSinks = addSinkLocked(p.eventSinks, nodeID, sink)
-	p.mu.Unlock()
+	p.eventSinks = addSink(p.eventSinks, nodeID, sink)
 	// The leaf runtime must be live before the first publish reaches it.
 	if _, err := p.ensureRuntime(leaf); err != nil {
 		return err
@@ -170,17 +165,14 @@ func (p *Platform) fedSubscribe(topic string, node Addr, sink eventSink) error {
 // subscriber population.
 func (p *Platform) fedPublish(v *codec.MsgView) {
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
 	ft := p.fed.topics[string(topic)]
 	if ft == nil || ft.nodes == 0 {
-		p.mu.Unlock()
 		return
 	}
 	var fromLow int32 = -1
 	if p.brokerID >= 0 {
 		fromLow = p.nodeLows[p.brokerID]
 	}
-	p.mu.Unlock()
 	rawName, ok := v.Raw("name")
 	if !ok {
 		rawName = codec.RawNil
@@ -204,7 +196,6 @@ func (p *Platform) fedPublish(v *codec.MsgView) {
 		return
 	}
 	for li := range p.fed.leaves {
-		p.mu.Lock()
 		empty := len(ft.shards[li]) == 0
 		var leafAddr Addr
 		var leafLow int32 = -1
@@ -214,7 +205,6 @@ func (p *Platform) fedPublish(v *codec.MsgView) {
 				leafLow = p.nodeLows[id]
 			}
 		}
-		p.mu.Unlock()
 		if empty {
 			continue
 		}
@@ -235,21 +225,18 @@ func (p *Platform) fedPublish(v *codec.MsgView) {
 //repolint:hotpath
 func (p *Platform) fedForward(li int32, v *codec.MsgView, data []byte) {
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
 	ft := p.fed.topics[string(topic)]
 	var row []int32
 	if ft != nil {
 		row = ft.shards[li]
 	}
 	if len(row) == 0 {
-		p.mu.Unlock()
 		return
 	}
 	p.stats.EventDeliver += uint64(len(row))
 	p.stats.WireMessages += uint64(len(row))
 	p.stats.WireBytes += uint64(len(row)) * uint64(len(data))
 	leafLow := p.nodeLows[p.fed.leafIDs[li]]
-	p.mu.Unlock()
 	//nolint:errcheck // event delivery failure = event loss, acceptable for pub/sub sim
 	_ = p.itransport.SendMultiIndexed(leafLow, row, data)
 }

@@ -141,10 +141,8 @@ func TestFederatedShardAssignment(t *testing.T) {
 	if _, err := kernel.Run(); err != nil {
 		t.Fatal(err)
 	}
-	p.mu.Lock()
 	ft := p.fed.topics["t"]
 	shard0, shard1 := ft.shards[0], ft.shards[1]
-	p.mu.Unlock()
 	want0, want1 := []int32{4, 6}, []int32{3, 5}
 	if len(shard0) != len(want0) || shard0[0] != want0[0] || shard0[1] != want0[1] {
 		t.Fatalf("leaf0 shard = %v, want %v", shard0, want0)

@@ -35,7 +35,6 @@ package middleware
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -300,10 +299,8 @@ func (d *deferredWire) run() {
 	d.buf = nil
 	d.srcAddr = ""
 	buf.Release()
-	d.p.mu.Lock()
 	d.next = d.p.freeDeferred
 	d.p.freeDeferred = d
-	d.p.mu.Unlock()
 }
 
 // Platform is a simulated middleware platform instance spanning the
@@ -316,7 +313,6 @@ type Platform struct {
 	profile    Profile
 	broker     Addr
 
-	mu        sync.Mutex
 	objects   map[ObjRef]registration
 	nodes     map[Addr]int32 // runtime intern: addr → platform node id
 	nodeAddrs []Addr         // node id → addr
@@ -332,7 +328,7 @@ type Platform struct {
 
 	pending  map[uint64]pendingCall
 	nextCall uint64
-	opNames  []string // interned operation names (see opNameLocked)
+	opNames  []string // interned operation names (see opName)
 	queues   map[string]*queueState
 	topics   map[string]*topicState
 
@@ -378,17 +374,13 @@ func (p *Platform) Time() *sim.Kernel { return p.kernel }
 
 // Stats returns a snapshot of platform counters.
 func (p *Platform) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
 // ensureRuntime attaches the platform's wire-protocol receiver on a node
-// and returns the node's dense platform id. Caller must NOT hold p.mu.
+// and returns the node's dense platform id.
 func (p *Platform) ensureRuntime(node Addr) (int32, error) {
-	p.mu.Lock()
 	if id, ok := p.nodes[node]; ok {
-		p.mu.Unlock()
 		return id, nil
 	}
 	id := int32(len(p.nodeAddrs))
@@ -406,7 +398,6 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 			}
 		}
 	}
-	p.mu.Unlock()
 	if p.itransport != nil {
 		low, err := p.itransport.AttachIndexed(node, func(srcLow int32, data []byte) {
 			p.onWire("", srcLow, id, data)
@@ -414,9 +405,7 @@ func (p *Platform) ensureRuntime(node Addr) (int32, error) {
 		if err != nil {
 			return id, fmt.Errorf("middleware: attach runtime at %q: %w", node, err)
 		}
-		p.mu.Lock()
 		p.nodeLows[id] = low
-		p.mu.Unlock()
 		return id, nil
 	}
 	if err := p.transport.Attach(node, func(src Addr, data []byte) {
@@ -436,8 +425,6 @@ func (p *Platform) Register(ref ObjRef, node Addr, obj Object) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.objects[ref]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateObject, ref)
 	}
@@ -448,8 +435,6 @@ func (p *Platform) Register(ref ObjRef, node Addr, obj Object) error {
 // Resolve reports the hosting node of an object reference — the naming
 // service every middleware provides.
 func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	reg, ok := p.objects[ref]
 	if !ok {
 		return "", false
@@ -465,10 +450,8 @@ func (p *Platform) Resolve(ref ObjRef) (Addr, bool) {
 //
 //repolint:hotpath
 func (p *Platform) sendData(from Addr, fromLow int32, to Addr, toLow int32, data []byte) error {
-	p.mu.Lock()
 	p.stats.WireMessages++
 	p.stats.WireBytes += uint64(len(data))
-	p.mu.Unlock()
 	var err error
 	if p.itransport != nil && fromLow >= 0 && toLow >= 0 {
 		err = p.itransport.SendIndexed(fromLow, toLow, data)
@@ -485,8 +468,8 @@ func (p *Platform) sendData(from Addr, fromLow int32, to Addr, toLow int32, data
 // order — the fan-out path behind pub/sub event delivery: the message is
 // marshalled once by the caller and the single buffer serves every
 // subscriber. On an indexed transport with every destination resolved,
-// the fan-out rides the dense batch path (all deliveries scheduled under
-// a single kernel lock); otherwise it degrades to the name-addressed
+// the fan-out rides the dense batch path (all deliveries scheduled by one
+// kernel ScheduleBatch call); otherwise it degrades to the name-addressed
 // MultiSender or a Send loop with identical semantics. Wire counters
 // advance exactly as if sendData were called once per destination.
 //
@@ -495,10 +478,8 @@ func (p *Platform) sendMultiData(from Addr, fromLow int32, tos []Addr, toLows []
 	if len(tos) == 0 {
 		return nil
 	}
-	p.mu.Lock()
 	p.stats.WireMessages += uint64(len(tos))
 	p.stats.WireBytes += uint64(len(tos)) * uint64(len(data))
-	p.mu.Unlock()
 	if p.itransport != nil && fromLow >= 0 && allLow {
 		if err := p.itransport.SendMultiIndexed(fromLow, toLows, data); err != nil {
 			return fmt.Errorf("middleware: wire fan-out from %s: %w", from, err) //repolint:allow alloc -- cold: transport refused the fan-out
@@ -520,15 +501,14 @@ func (p *Platform) sendMultiData(from Addr, fromLow int32, tos []Addr, toLows []
 	return firstErr
 }
 
-// nodeRefLocked returns the address and transport id of a platform node.
-// Caller holds p.mu.
-func (p *Platform) nodeRefLocked(id int32) (Addr, int32) {
+// nodeRef returns the address and transport id of a platform node.
+func (p *Platform) nodeRef(id int32) (Addr, int32) {
 	return p.nodeAddrs[id], p.nodeLows[id]
 }
 
-// addSinkLocked appends sink to node id's row of a demux table, growing
-// the table to cover id first. Caller holds p.mu.
-func addSinkLocked[T any](table [][]T, id int32, sink T) [][]T {
+// addSink appends sink to node id's row of a demux table, growing
+// the table to cover id first.
+func addSink[T any](table [][]T, id int32, sink T) [][]T {
 	for int(id) >= len(table) {
 		table = append(table, nil)
 	}
@@ -536,9 +516,9 @@ func addSinkLocked[T any](table [][]T, id int32, sink T) [][]T {
 	return table
 }
 
-// sinksLocked returns node id's row of a demux table (nil when the node
-// has no sinks). Caller holds p.mu.
-func sinksLocked[T any](table [][]T, id int32) []T {
+// sinkRow returns node id's row of a demux table (nil when the node
+// has no sinks).
+func sinkRow[T any](table [][]T, id int32) []T {
 	if int(id) >= len(table) {
 		return nil
 	}
@@ -549,8 +529,6 @@ func sinksLocked[T any](table [][]T, id int32) []T {
 // broker runtime is not attached yet — the name-addressed fallback then
 // reports the same unknown-node error the legacy path did).
 func (p *Platform) brokerRef() (Addr, int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.brokerID < 0 {
 		return p.broker, -1
 	}

@@ -67,10 +67,8 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	reg, ok := p.objects[target]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
 	if p.downNodes[reg.nodeID] || p.downNodes[fromID] {
@@ -86,7 +84,6 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 			down = p.nodeAddrs[fromID]
 		}
 		p.stats.Unavailables++
-		p.mu.Unlock()
 		p.kernel.Schedule(0, func() {
 			cont(codec.MsgView{}, fmt.Errorf("%w: %s is down", ErrUnavailable, down))
 		})
@@ -101,8 +98,7 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	p.pending[id] = pc
 	p.stats.Calls++
 	fromLow := p.nodeLows[fromID]
-	to, toLow := p.nodeRefLocked(reg.nodeID)
-	p.mu.Unlock()
+	to, toLow := p.nodeRef(reg.nodeID)
 
 	buf := codec.GetBuffer()
 	e := schemaCall.Encoder(buf.B[:0])
@@ -111,12 +107,10 @@ func (p *Platform) Invoke(from Addr, target ObjRef, op string, args []byte, cont
 	e.Str("op", op)
 	e.Str("target", string(target))
 	if err := p.finishSend(buf, &e, from, fromLow, to, toLow); err != nil {
-		p.mu.Lock()
 		if pc, ok := p.pending[id]; ok {
 			pc.timer.Cancel() // zero ref is an inert no-op
 			delete(p.pending, id)
 		}
-		p.mu.Unlock()
 		return err
 	}
 	return nil
@@ -143,13 +137,11 @@ func checkRecord(rec []byte) ([]byte, error) {
 }
 
 func (p *Platform) onCallTimeout(id uint64) {
-	p.mu.Lock()
 	pc, ok := p.pending[id]
 	if ok {
 		delete(p.pending, id)
 		p.stats.Timeouts++
 	}
-	p.mu.Unlock()
 	if ok {
 		pc.cont(codec.MsgView{}, fmt.Errorf("%w: call %d", ErrCallTimeout, id))
 	}
@@ -170,16 +162,13 @@ func (p *Platform) InvokeOneway(from Addr, target ObjRef, op string, args []byte
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	reg, ok := p.objects[target]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownObject, target)
 	}
 	p.stats.Oneways++
 	fromLow := p.nodeLows[fromID]
-	to, toLow := p.nodeRefLocked(reg.nodeID)
-	p.mu.Unlock()
+	to, toLow := p.nodeRef(reg.nodeID)
 	buf := codec.GetBuffer()
 	e := schemaOneway.Encoder(buf.B[:0])
 	e.Raw("args", args)
@@ -196,8 +185,6 @@ func (p *Platform) QueueDeclare(name string) error {
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, dup := p.queues[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateQueue, name)
 	}
@@ -216,14 +203,11 @@ func (p *Platform) QueuePut(from Addr, queue string, m codec.Message) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	if _, ok := p.queues[queue]; !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	p.stats.QueuePuts++
 	fromLow := p.nodeLows[fromID]
-	p.mu.Unlock()
 	to, toLow := p.brokerRef()
 	buf := codec.GetBuffer()
 	e := schemaEnqueue.Encoder(buf.B[:0])
@@ -252,17 +236,14 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.Message
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
 	q, ok := p.queues[queue]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownQueue, queue)
 	}
 	q.consumers = append(q.consumers, queueConsumer{nodeID: nodeID})
-	p.queueSinks = addSinkLocked(p.queueSinks, nodeID, queueSink{queue: queue, fn: fn})
+	p.queueSinks = addSink(p.queueSinks, nodeID, queueSink{queue: queue, fn: fn})
 	backlog := q.backlog
 	q.backlog = nil
-	p.mu.Unlock()
 	for _, m := range backlog {
 		p.deliverQueued(queue, m)
 	}
@@ -272,26 +253,22 @@ func (p *Platform) QueueSubscribe(queue string, node Addr, fn func(codec.Message
 // deliverQueued routes one queued message from the broker to the next
 // consumer.
 func (p *Platform) deliverQueued(queue string, m codec.Message) {
-	p.mu.Lock()
 	q, ok := p.queues[queue]
 	if !ok {
-		p.mu.Unlock()
 		return
 	}
 	if len(q.consumers) == 0 {
 		q.backlog = append(q.backlog, m)
-		p.mu.Unlock()
 		return
 	}
 	c := q.consumers[q.nextRR%len(q.consumers)]
 	q.nextRR++
 	p.stats.QueueDeliver++
-	to, toLow := p.nodeRefLocked(c.nodeID)
+	to, toLow := p.nodeRef(c.nodeID)
 	var fromLow int32 = -1
 	if p.brokerID >= 0 {
 		fromLow = p.nodeLows[p.brokerID]
 	}
-	p.mu.Unlock()
 	buf := codec.GetBuffer()
 	e := schemaDeliver.Encoder(buf.B[:0])
 	e.Value("fields", m.Fields)
@@ -311,10 +288,8 @@ func (p *Platform) Publish(from Addr, topic string, m codec.Message) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
 	p.stats.Publishes++
 	fromLow := p.nodeLows[fromID]
-	p.mu.Unlock()
 	to, toLow := p.brokerRef()
 	buf := codec.GetBuffer()
 	e := schemaPublish.Encoder(buf.B[:0])
@@ -364,8 +339,6 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	if _, err := p.ensureRuntime(p.broker); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t := p.topics[topic]
 	if t == nil {
 		t = &topicState{allLow: true}
@@ -377,7 +350,7 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 	if low < 0 {
 		t.allLow = false
 	}
-	p.eventSinks = addSinkLocked(p.eventSinks, nodeID, sink)
+	p.eventSinks = addSink(p.eventSinks, nodeID, sink)
 	return nil
 }
 
@@ -391,7 +364,6 @@ func (p *Platform) subscribeTopic(topic string, node Addr, sink eventSink) error
 func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 	overhead := p.profile.DispatchOverhead
 	if overhead > 0 {
-		p.mu.Lock()
 		d := p.freeDeferred
 		if d != nil {
 			p.freeDeferred = d.next
@@ -400,7 +372,6 @@ func (p *Platform) onWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 			d = &deferredWire{p: p}
 			d.fn = d.run
 		}
-		p.mu.Unlock()
 		d.srcAddr, d.srcLow, d.atID = srcAddr, srcLow, atID
 		buf := codec.GetBuffer()
 		buf.B = append(buf.B[:0], data...)
@@ -433,9 +404,7 @@ func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 		p.handlePublish(&v)
 	case "mw.event":
 		if p.fed != nil {
-			p.mu.Lock()
-			li := p.leafIndexOfLocked(atID)
-			p.mu.Unlock()
+			li := p.leafIndexOf(atID)
 			if li >= 0 {
 				p.fedForward(int32(li), &v, data)
 				return
@@ -452,13 +421,11 @@ func (p *Platform) handleWire(srcAddr Addr, srcLow, atID int32, data []byte) {
 func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, string, bool) {
 	target, _ := v.Str("target")
 	opB, _ := v.Str("op")
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	reg, ok := p.objects[ObjRef(target)]
 	if !ok || reg.nodeID != atID {
 		return nil, "", false
 	}
-	return reg.obj, p.opNameLocked(opB), true
+	return reg.obj, p.opName(opB), true
 }
 
 // maxOpNames caps the operation-name intern table. Platforms see a
@@ -466,9 +433,9 @@ func (p *Platform) lookupLocal(atID int32, v *codec.MsgView) (Object, string, bo
 // and those are copied per call instead.
 const maxOpNames = 64
 
-// opNameLocked returns the operation name op as a string without
-// allocating for names seen before. Caller holds p.mu.
-func (p *Platform) opNameLocked(op []byte) string {
+// opName returns the operation name op as a string without
+// allocating for names seen before.
+func (p *Platform) opName(op []byte) string {
 	for _, s := range p.opNames {
 		if s == string(op) {
 			return s
@@ -484,8 +451,6 @@ func (p *Platform) opNameLocked(op []byte) string {
 // replyRef resolves where a reply from node atID back to the caller
 // should travel: the receiving node's address/low id plus the caller's.
 func (p *Platform) replyRef(atID int32) (Addr, int32) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.nodeAddrs[atID], p.nodeLows[atID]
 }
 
@@ -509,13 +474,11 @@ type replyCell struct {
 
 // getReplyCell pops (or creates) a cell armed for one call.
 func (p *Platform) getReplyCell(id uint64, atID int32, srcAddr Addr, srcLow int32) *replyCell {
-	p.mu.Lock()
 	c := p.freeReplies
 	if c != nil {
 		p.freeReplies = c.next
 		c.next = nil
 	}
-	p.mu.Unlock()
 	if c == nil {
 		c = &replyCell{p: p}
 		c.fn = c.reply
@@ -532,9 +495,7 @@ func (c *replyCell) reply(result []byte, err error) {
 	}
 	c.armed = false
 	p := c.p
-	p.mu.Lock()
 	p.stats.Replies++
-	p.mu.Unlock()
 	if err == nil {
 		if result, err = checkRecord(result); err != nil {
 			err = fmt.Errorf("middleware: malformed result record: %w", err)
@@ -572,22 +533,18 @@ func (p *Platform) handleCall(srcAddr Addr, srcLow, atID int32, v *codec.MsgView
 	obj.Dispatch(op, args, c.fn)
 	if !c.armed {
 		c.srcAddr = ""
-		p.mu.Lock()
 		c.next = p.freeReplies
 		p.freeReplies = c
-		p.mu.Unlock()
 	}
 }
 
 func (p *Platform) handleReply(v *codec.MsgView) {
 	id, _ := v.Uint("id")
-	p.mu.Lock()
 	pc, ok := p.pending[id]
 	if ok {
 		delete(p.pending, id)
 		pc.timer.Cancel() // zero ref is an inert no-op
 	}
-	p.mu.Unlock()
 	if !ok {
 		return // late reply after timeout
 	}
@@ -623,9 +580,7 @@ func (p *Platform) handleEnqueue(v *codec.MsgView) {
 // subscription order, as the legacy table produced — gets the message.
 func (p *Platform) handleDeliver(atID int32, v *codec.MsgView) {
 	queue, _ := v.Str("queue")
-	p.mu.Lock()
-	sinks := sinksLocked(p.queueSinks, atID)
-	p.mu.Unlock()
+	sinks := sinkRow(p.queueSinks, atID)
 	var fn func(codec.Message)
 	for i := range sinks {
 		if sinks[i].queue == string(queue) {
@@ -653,7 +608,6 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 		return
 	}
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
 	t := p.topics[string(topic)]
 	var (
 		nodes  []Addr
@@ -668,7 +622,6 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 	if p.brokerID >= 0 {
 		fromLow = p.nodeLows[p.brokerID]
 	}
-	p.mu.Unlock()
 	if len(nodes) == 0 {
 		return
 	}
@@ -707,9 +660,7 @@ func (p *Platform) handlePublish(v *codec.MsgView) {
 // order.
 func (p *Platform) handleEvent(atID int32, v *codec.MsgView) {
 	topic, _ := v.Str("topic")
-	p.mu.Lock()
-	sinks := sinksLocked(p.eventSinks, atID)
-	p.mu.Unlock()
+	sinks := sinkRow(p.eventSinks, atID)
 	var msg codec.Message
 	built := false
 	for i := range sinks {

@@ -4,7 +4,5 @@ package network
 // references: one per send call with deliveries in flight, zero once
 // every delivery has been handled.
 func (n *Network) LivePayloads() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.livePayloads
 }

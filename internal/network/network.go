@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -144,8 +143,7 @@ type linkState struct {
 // sharedPayload is the shared copy of one send call's bytes: every delivery
 // the call schedules (one per surviving destination, plus duplicates)
 // references it, and the last one to finish releases the buffer and
-// returns the payload to the network's free list. refs is guarded by
-// Network.mu.
+// returns the payload to the network's free list.
 type sharedPayload struct {
 	buf  *codec.Buffer
 	refs int32
@@ -169,7 +167,6 @@ type delivery struct {
 
 func (d *delivery) run() {
 	n := d.n
-	n.mu.Lock()
 	var h SlotHandler
 	if int(d.dst) < len(n.handlers) {
 		if n.crashed[d.dst] || n.incs[d.dst] != d.dstInc {
@@ -183,17 +180,12 @@ func (d *delivery) run() {
 	}
 	if h != nil {
 		n.stats.Delivered++
-	}
-	n.mu.Unlock()
-	if h != nil {
 		h(d.src, d.pl.buf.B)
 	}
-	n.mu.Lock()
-	n.unrefLocked(d.pl)
+	n.unref(d.pl)
 	d.pl = nil
 	d.next = n.freeDeliveries
 	n.freeDeliveries = d
-	n.mu.Unlock()
 }
 
 // Network is the simulated interconnection fabric. Create one with New.
@@ -202,7 +194,6 @@ type Network struct {
 	rng         *rand.Rand // kernel.Rand(), cached: the kernel returns a stable source
 	defaultLink LinkConfig
 
-	mu       sync.Mutex
 	slots    map[NodeID]Slot
 	ids      []NodeID      // slot → name
 	handlers []SlotHandler // slot → delivery handler
@@ -259,8 +250,6 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	if h == nil {
 		return -1, fmt.Errorf("network: nil handler for node %q", id)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, ok := n.slots[id]; ok {
 		return -1, fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
@@ -270,8 +259,8 @@ func (n *Network) Register(id NodeID, h SlotHandler) (Slot, error) {
 	n.handlers = append(n.handlers, h)
 	n.crashed = append(n.crashed, false)
 	n.incs = append(n.incs, 1)
-	n.ensureRowWidthLocked(len(n.ids))
-	n.materializeNodeLocked(id, s)
+	n.ensureRowWidth(len(n.ids))
+	n.materializeNode(id, s)
 	return s, nil
 }
 
@@ -286,14 +275,11 @@ func (n *Network) AddNode(id NodeID, h Handler) error {
 }
 
 // wrapHandler adapts a name-addressed Handler to the slot plane. The
-// source name is resolved under the lock because the slot→name slice may
-// be growing concurrently.
+// source name is looked up per delivery because registration may grow
+// the slot→name slice after the handler is installed.
 func (n *Network) wrapHandler(h Handler) SlotHandler {
 	return func(src Slot, payload []byte) {
-		n.mu.Lock()
-		id := n.ids[src]
-		n.mu.Unlock()
-		h(id, payload)
+		h(n.ids[src], payload)
 	}
 }
 
@@ -315,8 +301,6 @@ func (n *Network) SetSlotHandler(id NodeID, h SlotHandler) error {
 }
 
 func (n *Network) setSlotHandler(id NodeID, h SlotHandler) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -327,8 +311,6 @@ func (n *Network) setSlotHandler(id NodeID, h SlotHandler) error {
 
 // SlotOf resolves a node name to its dense slot.
 func (n *Network) SlotOf(id NodeID) (Slot, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	return s, ok
 }
@@ -336,8 +318,6 @@ func (n *Network) SlotOf(id NodeID) (Slot, bool) {
 // IDOf resolves a slot back to its node name. It returns "" for slots
 // the network never issued.
 func (n *Network) IDOf(s Slot) NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if s < 0 || int(s) >= len(n.ids) {
 		return ""
 	}
@@ -347,25 +327,21 @@ func (n *Network) IDOf(s Slot) NodeID {
 // NumSlots returns the number of slots issued so far (slots are
 // 0..NumSlots-1).
 func (n *Network) NumSlots() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.ids)
 }
 
 // Nodes returns the registered node ids in unspecified order.
 func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make([]NodeID, len(n.ids))
 	copy(out, n.ids)
 	return out
 }
 
-// ensureRowWidthLocked grows the row width so materialized rows cover
+// ensureRowWidth grows the row width so materialized rows cover
 // count slots. Growth is geometric and only already-materialized rows
 // are copied — nil rows (the overwhelming majority at scale) cost
 // nothing.
-func (n *Network) ensureRowWidthLocked(count int) {
+func (n *Network) ensureRowWidth(count int) {
 	if count <= n.rowW {
 		return
 	}
@@ -387,10 +363,10 @@ func (n *Network) ensureRowWidthLocked(count int) {
 	n.rowW = w
 }
 
-// rowLocked returns the materialized link row of src, creating it (and
+// rowOf returns the materialized link row of src, creating it (and
 // growing the row table to cover src) on first use. Only sources with
 // explicit link configuration ever get a row.
-func (n *Network) rowLocked(src Slot) []linkState {
+func (n *Network) rowOf(src Slot) []linkState {
 	for int(src) >= len(n.rows) {
 		n.rows = append(n.rows, nil)
 	}
@@ -400,21 +376,21 @@ func (n *Network) rowLocked(src Slot) []linkState {
 	return n.rows[src]
 }
 
-// existingRowLocked returns src's link row, or nil when none was ever
+// existingRow returns src's link row, or nil when none was ever
 // materialized — the default-link fast path.
 //
 //repolint:hotpath
-func (n *Network) existingRowLocked(src Slot) []linkState {
+func (n *Network) existingRow(src Slot) []linkState {
 	if int(src) >= len(n.rows) {
 		return nil
 	}
 	return n.rows[src]
 }
 
-// materializeNodeLocked fills the link cells involving a newly
+// materializeNode fills the link cells involving a newly
 // registered node from the configuration maps (SetLink/Partition calls
 // may predate registration).
-func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
+func (n *Network) materializeNode(id NodeID, s Slot) {
 	for k, cfg := range n.links {
 		if k.src != id && k.dst != id {
 			continue
@@ -422,7 +398,7 @@ func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
 		si, ok1 := n.slots[k.src]
 		di, ok2 := n.slots[k.dst]
 		if ok1 && ok2 {
-			c := &n.rowLocked(si)[di]
+			c := &n.rowOf(si)[di]
 			c.cfg, c.explicit = cfg, true
 		}
 	}
@@ -433,7 +409,7 @@ func (n *Network) materializeNodeLocked(id NodeID, s Slot) {
 		si, ok1 := n.slots[k.src]
 		di, ok2 := n.slots[k.dst]
 		if ok1 && ok2 {
-			n.rowLocked(si)[di].partitioned = true
+			n.rowOf(si)[di].partitioned = true
 		}
 	}
 }
@@ -444,12 +420,10 @@ func (n *Network) SetLink(src, dst NodeID, cfg LinkConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.links[linkKey{src, dst}] = cfg
 	if si, ok := n.slots[src]; ok {
 		if di, ok := n.slots[dst]; ok {
-			c := &n.rowLocked(si)[di]
+			c := &n.rowOf(si)[di]
 			c.cfg, c.explicit = cfg, true
 		}
 	}
@@ -490,8 +464,6 @@ func (n *Network) HealBoth(a, b NodeID) {
 }
 
 func (n *Network) setPartition(src, dst NodeID, cut bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if cut {
 		n.partition[linkKey{src, dst}] = true
 	} else {
@@ -500,8 +472,8 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 	if si, ok := n.slots[src]; ok {
 		if di, ok := n.slots[dst]; ok {
 			if cut {
-				n.rowLocked(si)[di].partitioned = true
-			} else if row := n.existingRowLocked(si); row != nil {
+				n.rowOf(si)[di].partitioned = true
+			} else if row := n.existingRow(si); row != nil {
 				row[di].partitioned = false
 			}
 		}
@@ -515,8 +487,6 @@ func (n *Network) setPartition(src, dst NodeID, cut bool) {
 // Send resolves both names on entry; steady-state senders should resolve
 // once and use SendSlot.
 func (n *Network) Send(src, dst NodeID, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ss, ok := n.slots[src]
 	if !ok {
 		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
@@ -525,10 +495,10 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: destination %q", ErrUnknownNode, dst)
 	}
-	// The batch is staged in the lock-protected scratch slice, so the
+	// The batch is staged in the network's scratch slice, so the
 	// per-datagram path reuses one buffer across calls.
 	var shared *sharedPayload
-	entries, err := n.transmitLocked(n.rng, ss, ds, payload, &shared, n.scratch[:0])
+	entries, err := n.transmit(n.rng, ss, ds, payload, &shared, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
@@ -544,8 +514,6 @@ func (n *Network) Send(src, dst NodeID, payload []byte) error {
 //
 //repolint:hotpath
 func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if int(src) >= len(n.ids) || src < 0 {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
@@ -554,7 +522,7 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 	}
 	// Staged in the scratch slice, as in Send.
 	var shared *sharedPayload
-	entries, err := n.transmitLocked(n.rng, src, dst, payload, &shared, n.scratch[:0])
+	entries, err := n.transmit(n.rng, src, dst, payload, &shared, n.scratch[:0])
 	if err != nil {
 		n.scratch = entries[:0]
 		return err
@@ -567,13 +535,11 @@ func (n *Network) SendSlot(src, dst Slot, payload []byte) error {
 // SendMulti transmits payload from src to every destination in order,
 // with per-destination link behaviour exactly as if Send were called once
 // per destination (same random-draw order, so traces are unchanged), but
-// schedules all resulting deliveries through the kernel's batch path in a
-// single lock acquisition. Destinations that fail validation (unknown
+// schedules all resulting deliveries through one kernel ScheduleBatch
+// call. Destinations that fail validation (unknown
 // node, MTU) are skipped; the first such error is returned after all
 // other destinations have been processed.
 func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ss, ok := n.slots[src]
 	if !ok {
 		return fmt.Errorf("%w: source %q", ErrUnknownNode, src)
@@ -591,7 +557,7 @@ func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
 			continue
 		}
 		var err error
-		entries, err = n.transmitLocked(rng, ss, ds, payload, &shared, entries)
+		entries, err = n.transmit(rng, ss, ds, payload, &shared, entries)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -607,8 +573,6 @@ func (n *Network) SendMulti(src NodeID, dsts []NodeID, payload []byte) error {
 //
 //repolint:hotpath
 func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if int(src) >= len(n.ids) || src < 0 {
 		return fmt.Errorf("%w: source %d", ErrBadSlot, src) //repolint:allow alloc -- cold: caller passed an invalid slot
 	}
@@ -624,7 +588,7 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 			continue
 		}
 		var err error
-		entries, err = n.transmitLocked(rng, src, dst, payload, &shared, entries)
+		entries, err = n.transmit(rng, src, dst, payload, &shared, entries)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -634,21 +598,21 @@ func (n *Network) SendMultiSlot(src Slot, dsts []Slot, payload []byte) error {
 	return firstErr
 }
 
-// transmitLocked validates one src→dst datagram, applies partition, loss
+// transmit validates one src→dst datagram, applies partition, loss
 // and duplication, and appends the resulting delivery events (0, 1 or 2)
-// to entries. It must be called with n.mu held, and consumes kernel
-// randomness in a fixed order (loss, jitter, duplicate, duplicate jitter)
-// to keep traces deterministic. *shared is the send call's shared copy
-// of payload: nil until the call's first surviving delivery makes it,
-// then referenced by every later delivery of the same call.
+// to entries. It consumes kernel randomness in a fixed order (loss,
+// jitter, duplicate, duplicate jitter) to keep traces deterministic.
+// *shared is the send call's shared copy of payload: nil until the
+// call's first surviving delivery makes it, then referenced by every
+// later delivery of the same call.
 //
 //repolint:hotpath
-func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, shared **sharedPayload, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
+func (n *Network) transmit(rng *rand.Rand, src, dst Slot, payload []byte, shared **sharedPayload, entries []sim.BatchEntry) ([]sim.BatchEntry, error) {
 	// Unconfigured sources have no row — the default-link fast path
 	// that keeps link state free on XL fabrics.
 	var cell *linkState
 	cfg := &n.defaultLink
-	if row := n.existingRowLocked(src); row != nil {
+	if row := n.existingRow(src); row != nil {
 		cell = &row[dst]
 		if cell.explicit {
 			cfg = &cell.cfg
@@ -672,21 +636,21 @@ func (n *Network) transmitLocked(rng *rand.Rand, src, dst Slot, payload []byte, 
 		return entries, nil
 	}
 	if *shared == nil {
-		*shared = n.sharePayloadLocked(payload)
+		*shared = n.sharePayload(payload)
 	}
-	entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, *shared))
+	entries = append(entries, n.newDelivery(rng, src, dst, cfg, *shared))
 	if cfg.DuplicateRate > 0 && rng.Float64() < cfg.DuplicateRate {
-		entries = append(entries, n.deliveryLocked(rng, src, dst, cfg, *shared))
+		entries = append(entries, n.newDelivery(rng, src, dst, cfg, *shared))
 	}
 	return entries, nil
 }
 
-// sharePayloadLocked copies one send call's payload into a pooled
+// sharePayload copies one send call's payload into a pooled
 // buffer carried by a free-listed shared payload with no references
-// yet. It must be called with n.mu held.
+// yet.
 //
 //repolint:hotpath
-func (n *Network) sharePayloadLocked(payload []byte) *sharedPayload {
+func (n *Network) sharePayload(payload []byte) *sharedPayload {
 	p := n.freePayloads
 	if p != nil {
 		n.freePayloads = p.next
@@ -701,12 +665,11 @@ func (n *Network) sharePayloadLocked(payload []byte) *sharedPayload {
 	return p
 }
 
-// unrefLocked drops one delivery's reference to p; the last reference
-// releases the buffer and returns p to the free list. It must be called
-// with n.mu held.
+// unref drops one delivery's reference to p; the last reference
+// releases the buffer and returns p to the free list.
 //
 //repolint:hotpath
-func (n *Network) unrefLocked(p *sharedPayload) {
+func (n *Network) unref(p *sharedPayload) {
 	p.refs--
 	if p.refs > 0 {
 		return
@@ -718,14 +681,13 @@ func (n *Network) unrefLocked(p *sharedPayload) {
 	n.livePayloads--
 }
 
-// deliveryLocked draws the link jitter and builds the delivery event for
+// newDelivery draws the link jitter and builds the delivery event for
 // one datagram copy from the pooled delivery free list, taking a
-// reference to the call's shared payload. It must be called with n.mu
-// held. The payload is recycled once every delivery referencing it has
+// reference to the call's shared payload. The payload is recycled once every delivery referencing it has
 // been handled (see Handler's aliasing contract).
 //
 //repolint:hotpath
-func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig, pl *sharedPayload) sim.BatchEntry {
+func (n *Network) newDelivery(rng *rand.Rand, src, dst Slot, cfg *LinkConfig, pl *sharedPayload) sim.BatchEntry {
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += time.Duration(rng.Int63n(int64(cfg.Jitter)))
@@ -751,8 +713,6 @@ func (n *Network) deliveryLocked(rng *rand.Rand, src, dst Slot, cfg *LinkConfig,
 // already-crashed node is an error (fault plans alternate crash/restart
 // per node; a double crash indicates a scheduling bug).
 func (n *Network) Crash(id NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -770,8 +730,6 @@ func (n *Network) Crash(id NodeID) error {
 // arrival; new traffic flows normally. Higher layers observe the
 // incarnation change (IncarnationOfSlot) to tear down stale flow state.
 func (n *Network) Restart(id NodeID) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
@@ -787,8 +745,6 @@ func (n *Network) Restart(id NodeID) error {
 // Crashed reports whether a node is currently crashed. Unknown nodes
 // report false.
 func (n *Network) Crashed(id NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	return ok && n.crashed[s]
 }
@@ -796,8 +752,6 @@ func (n *Network) Crashed(id NodeID) bool {
 // CrashedSlot is the dense-plane Crashed. Out-of-range slots report
 // false.
 func (n *Network) CrashedSlot(s Slot) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return s >= 0 && int(s) < len(n.crashed) && n.crashed[s]
 }
 
@@ -805,8 +759,6 @@ func (n *Network) CrashedSlot(s Slot) bool {
 // that has never crashed; each Restart increments it). Unknown nodes
 // report 0.
 func (n *Network) Incarnation(id NodeID) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.slots[id]
 	if !ok {
 		return 0
@@ -817,8 +769,6 @@ func (n *Network) Incarnation(id NodeID) uint32 {
 // IncarnationOfSlot is the dense-plane Incarnation. Out-of-range slots
 // report 0.
 func (n *Network) IncarnationOfSlot(s Slot) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if s < 0 || int(s) >= len(n.incs) {
 		return 0
 	}
@@ -827,15 +777,11 @@ func (n *Network) IncarnationOfSlot(s Slot) uint32 {
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.stats
 }
 
 // ResetStats zeroes the network counters; experiments call it between
 // warm-up and measurement phases.
 func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stats = Stats{}
 }

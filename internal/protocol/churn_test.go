@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -233,56 +232,59 @@ func TestReliableNoteRestartCancelsTimers(t *testing.T) {
 	}
 }
 
-// TestReliableChurnTeardownRace: flow teardown (CloseFlow, NoteRestart)
-// racing sends and crash/restart cycles from concurrent goroutines. The
-// run is not deterministic — the point is that the locking holds under
-// the race detector and the kernel drains cleanly afterwards.
-func TestReliableChurnTeardownRace(t *testing.T) {
-	k, n := newNet(16, network.LinkConfig{Latency: time.Millisecond})
-	r := NewReliableDatagram(k, NewUnreliableDatagram(n), ReliableDatagramConfig{
-		RetransmitTimeout: 2 * time.Millisecond,
-	})
-	const peers = 8
-	names := make([]Addr, peers)
-	for i := range names {
-		names[i] = Addr(fmt.Sprintf("n%d", i))
-	}
-	for _, id := range names {
-		if err := r.Attach(id, func(Addr, []byte) {}); err != nil {
-			t.Fatal(err)
+// TestReliableChurnTeardownInterleaved: flow teardown (CloseFlow,
+// NoteRestart) interleaved with sends and crash/restart cycles. Eight
+// peers take turns on the one goroutine that owns the stack, and the
+// kernel steps between turns, so teardown lands on flows with data and
+// acks in flight. The kernel must drain cleanly, and the run must be
+// deterministic: a second run gives identical stats.
+func TestReliableChurnTeardownInterleaved(t *testing.T) {
+	run := func() ReliableStats {
+		k, n := newNet(16, network.LinkConfig{Latency: time.Millisecond})
+		r := NewReliableDatagram(k, NewUnreliableDatagram(n), ReliableDatagramConfig{
+			RetransmitTimeout: 2 * time.Millisecond,
+		})
+		const peers = 8
+		names := make([]Addr, peers)
+		for i := range names {
+			names[i] = Addr(fmt.Sprintf("n%d", i))
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < peers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			src := names[g]
-			dst := names[(g+1)%peers]
-			payload := []byte("x")
-			for i := 0; i < 300; i++ {
+		for _, id := range names {
+			if err := r.Attach(id, func(Addr, []byte) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		payload := []byte("x")
+		for i := 0; i < 300; i++ {
+			for g := 0; g < peers; g++ {
+				src := names[g]
+				dst := names[(g+1)%peers]
 				_ = r.Send(src, dst, payload)
 				if i%17 == 0 {
 					r.CloseFlow(src, dst)
 				}
 				if i%29 == 0 {
-					// Each goroutine owns its node, so the
-					// crash/restart alternation cannot collide.
 					if err := n.Crash(src); err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					if err := n.Restart(src); err != nil {
-						t.Error(err)
-						return
+						t.Fatal(err)
 					}
 					r.NoteRestart(src)
 				}
+				k.Step()
 			}
-		}(g)
+		}
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if k.Pending() != 0 {
+			t.Fatalf("kernel did not drain: %d events pending", k.Pending())
+		}
+		return r.Stats()
 	}
-	wg.Wait()
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("interleaved churn is not deterministic:\n%+v\n%+v", first, second)
 	}
 }

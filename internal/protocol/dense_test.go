@@ -277,17 +277,13 @@ func TestCloseFlowReclaimsAndRestarts(t *testing.T) {
 	// Tear down both halves of the pair.
 	rd.CloseFlow("a", "b")
 	rd.CloseFlow("b", "a")
-	rd.mu.Lock()
 	if rd.freeSend == nil || rd.freeRecv == nil {
-		rd.mu.Unlock()
 		t.Fatal("CloseFlow did not reclaim flow structs to the free lists")
 	}
 	aID, bID := rd.ids["a"], rd.ids["b"]
 	if rd.sendRows[aID][bID] != nil || rd.recvRows[aID][bID] != nil {
-		rd.mu.Unlock()
 		t.Fatal("CloseFlow left flow table entries behind")
 	}
-	rd.mu.Unlock()
 
 	// A fresh conversation restarts at sequence zero on recycled structs.
 	if err := rd.Send("a", "b", []byte("second")); err != nil {
@@ -299,16 +295,12 @@ func TestCloseFlowReclaimsAndRestarts(t *testing.T) {
 	if len(got) != 4 || got[3] != "second" {
 		t.Fatalf("post-teardown delivery = %q, want trailing \"second\"", got)
 	}
-	rd.mu.Lock()
 	if f := rd.sendRows[aID][bID]; f == nil || f.next != 1 {
-		rd.mu.Unlock()
 		t.Fatalf("post-teardown send flow did not restart at seq 0")
 	}
 	if rd.freeSend != nil {
-		rd.mu.Unlock()
 		t.Fatal("fresh flow did not come from the free list")
 	}
-	rd.mu.Unlock()
 }
 
 // TestCloseFlowClearsBroken pins that teardown resets broken-flow state:
@@ -356,15 +348,13 @@ func TestLayerStatsLazySnapshot(t *testing.T) {
 		data := append([]byte{0x06, byte(len(name))}, name...)
 		return append(data, make([]byte, n-len(data))...)
 	}
-	l.mu.Lock()
 	mustCount := func(data []byte, n int) {
-		if err := l.countLocked(data, n); err != nil {
+		if err := l.countPDUs(data, n); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustCount(pdu("pdu.x", 10), 1)
 	mustCount(pdu("pdu.y", 20), 2)
-	l.mu.Unlock()
 
 	s1 := l.Stats()
 	s2 := l.Stats()
@@ -375,9 +365,7 @@ func TestLayerStatsLazySnapshot(t *testing.T) {
 		t.Fatalf("snapshot content wrong: %v", s1.ByType)
 	}
 
-	l.mu.Lock()
 	mustCount(pdu("pdu.x", 10), 3)
-	l.mu.Unlock()
 	s3 := l.Stats()
 	if reflect.ValueOf(s3.ByType).Pointer() == reflect.ValueOf(s1.ByType).Pointer() {
 		t.Fatal("Stats after counter change returned the stale snapshot map")

@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -140,7 +139,6 @@ type Layer struct {
 	lower  LowerService
 	ilower IndexedLower // non-nil when lower supports the dense plane
 
-	mu         sync.Mutex
 	ids        map[Addr]int32
 	ents       []entityEntry
 	lowerAddrs []Addr         // lower endpoint id → address (receive cache)
@@ -173,8 +171,8 @@ func (l *Layer) Name() string { return l.name }
 // Time returns the layer's kernel.
 func (l *Layer) Time() *sim.Kernel { return l.kernel }
 
-// internLocked returns addr's entity slot, assigning one on first sight.
-func (l *Layer) internLocked(addr Addr) int32 {
+// intern returns addr's entity slot, assigning one on first sight.
+func (l *Layer) intern(addr Addr) int32 {
 	if id, ok := l.ids[addr]; ok {
 		return id
 	}
@@ -187,7 +185,6 @@ func (l *Layer) internLocked(addr Addr) int32 {
 // addrForLower resolves a lower endpoint id to its address through a
 // cached dense table (one lower query per id, ever).
 func (l *Layer) addrForLower(lowSrc int32) Addr {
-	l.mu.Lock()
 	for int(lowSrc) >= len(l.lowerAddrs) {
 		l.lowerAddrs = append(l.lowerAddrs, "")
 	}
@@ -196,7 +193,6 @@ func (l *Layer) addrForLower(lowSrc int32) Addr {
 		a = l.ilower.EndpointAddr(lowSrc)
 		l.lowerAddrs[lowSrc] = a
 	}
-	l.mu.Unlock()
 	return a
 }
 
@@ -206,14 +202,11 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 	if e == nil {
 		return fmt.Errorf("protocol: nil entity at %q", addr)
 	}
-	l.mu.Lock()
-	id := l.internLocked(addr)
+	id := l.intern(addr)
 	if l.ents[id].entity != nil {
-		l.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrDuplicate, addr)
 	}
 	l.ents[id].entity = e
-	l.mu.Unlock()
 
 	selfLow := int32(-1)
 	if l.ilower != nil {
@@ -245,8 +238,6 @@ func (l *Layer) AddEntity(addr Addr, e Entity) error {
 
 // Entity returns the entity at addr.
 func (l *Layer) Entity(addr Addr) (Entity, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	id, ok := l.ids[addr]
 	if !ok || l.ents[id].entity == nil {
 		return nil, false
@@ -257,24 +248,20 @@ func (l *Layer) Entity(addr Addr) (Entity, bool) {
 // SetUpcall registers the local user handler for to-user primitives at
 // addr.
 func (l *Layer) SetUpcall(addr Addr, fn func(primitive string, params codec.Record)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	id := l.internLocked(addr)
+	id := l.intern(addr)
 	l.ents[id].upcall = fn
 }
 
 func (l *Layer) deliverUp(id int32, primitive string, params codec.Record) {
-	l.mu.Lock()
 	fn := l.ents[id].upcall
-	l.mu.Unlock()
 	if fn != nil {
 		fn(primitive, params)
 	}
 }
 
-// countLocked advances the interned PDU-type counters for the encoded
-// PDU data. Caller holds l.mu.
-func (l *Layer) countLocked(data []byte, n int) error {
+// countPDUs advances the interned PDU-type counters for the encoded
+// PDU data.
+func (l *Layer) countPDUs(data []byte, n int) error {
 	name, err := codec.MessageName(data)
 	if err != nil {
 		return err
@@ -295,16 +282,13 @@ func (l *Layer) countLocked(data []byte, n int) error {
 // sendEncoded counts and transmits one already-encoded PDU, using the
 // dense plane when the destination's lower id resolves.
 func (l *Layer) sendEncoded(c *Context, dst Addr, data []byte) error {
-	l.mu.Lock()
-	if err := l.countLocked(data, 1); err != nil {
-		l.mu.Unlock()
+	if err := l.countPDUs(data, 1); err != nil {
 		return err
 	}
 	low := int32(-1)
 	if l.ilower != nil && c.selfLow >= 0 {
-		low = l.dstLowLocked(dst)
+		low = l.lowerOf(dst)
 	}
-	l.mu.Unlock()
 	if low >= 0 {
 		return l.ilower.SendIndexed(c.selfLow, low, data)
 	}
@@ -314,16 +298,14 @@ func (l *Layer) sendEncoded(c *Context, dst Addr, data []byte) error {
 // sendEncodedMulti counts and transmits one encoded PDU to every
 // destination, through the dense batch path when every id resolves.
 func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, data []byte) error {
-	l.mu.Lock()
-	if err := l.countLocked(data, len(dsts)); err != nil {
-		l.mu.Unlock()
+	if err := l.countPDUs(data, len(dsts)); err != nil {
 		return err
 	}
 	dense := l.ilower != nil && c.selfLow >= 0
 	lows := l.lowScratch[:0]
 	if dense {
 		for _, dst := range dsts {
-			low := l.dstLowLocked(dst)
+			low := l.lowerOf(dst)
 			if low < 0 {
 				dense = false
 				break
@@ -333,14 +315,11 @@ func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, data []byte) error {
 		l.lowScratch = lows[:0]
 	}
 	if dense {
-		// The batch send happens with l.mu held so the reused scratch
-		// slice cannot be clobbered by a concurrent fan-out. Lock order
-		// stays acyclic: lower services never call back into the layer
-		// synchronously (deliveries are kernel-scheduled).
-		defer l.mu.Unlock()
+		// The reused scratch slice stays intact for the whole call:
+		// lower services never call back into the layer synchronously
+		// (deliveries are kernel-scheduled).
 		return l.ilower.SendMultiIndexed(c.selfLow, lows, data)
 	}
-	l.mu.Unlock()
 	if ms, ok := l.lower.(MultiSender); ok {
 		return ms.SendMulti(c.self, dsts, data)
 	}
@@ -353,11 +332,10 @@ func (l *Layer) sendEncodedMulti(c *Context, dsts []Addr, data []byte) error {
 	return firstErr
 }
 
-// dstLowLocked resolves a destination address to its lower endpoint id
+// lowerOf resolves a destination address to its lower endpoint id
 // through the send cache. Unresolved destinations (peer not attached
-// yet) are not cached, so late attachment is picked up. Caller holds
-// l.mu.
-func (l *Layer) dstLowLocked(dst Addr) int32 {
+// yet) are not cached, so late attachment is picked up.
+func (l *Layer) lowerOf(dst Addr) int32 {
 	if low, ok := l.dstLow[dst]; ok {
 		return low
 	}
@@ -372,8 +350,6 @@ func (l *Layer) dstLowLocked(dst Addr) int32 {
 // Stats returns a snapshot of the layer counters. The ByType map is
 // rebuilt lazily: unchanged counters return the same (read-only) map.
 func (l *Layer) Stats() LayerStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.snapshot == nil || l.snapDirty {
 		m := make(map[string]uint64, len(l.types))
 		for _, c := range l.types {
@@ -391,9 +367,7 @@ func (l *Layer) Stats() LayerStats {
 // protocol implements it.
 type ServiceBinding struct {
 	layer *Layer
-
-	mu   sync.Mutex
-	saps map[core.SAP]sapBinding
+	saps  map[core.SAP]sapBinding
 }
 
 // sapBinding caches the entity resolved at Bind time (entities are never
@@ -412,8 +386,6 @@ func NewServiceBinding(layer *Layer) *ServiceBinding {
 
 // Bind associates a SAP with the entity at addr.
 func (b *ServiceBinding) Bind(sap core.SAP, addr Addr) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	e, ok := b.layer.Entity(addr)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownEntity, addr)
@@ -428,9 +400,7 @@ func (b *ServiceBinding) Bind(sap core.SAP, addr Addr) error {
 // Submit implements core.Provider: the from-user primitive is handed to
 // the entity serving the SAP.
 func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Record) error {
-	b.mu.Lock()
 	bind, ok := b.saps[sap]
-	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotBound, sap)
 	}
@@ -442,9 +412,7 @@ func (b *ServiceBinding) Submit(sap core.SAP, primitive string, params codec.Rec
 
 // Attach implements core.Provider.
 func (b *ServiceBinding) Attach(sap core.SAP, handler func(primitive string, params codec.Record)) {
-	b.mu.Lock()
 	bind, ok := b.saps[sap]
-	b.mu.Unlock()
 	if !ok {
 		return
 	}

@@ -196,7 +196,7 @@ func (u *UnreliableDatagram) SendIndexed(src, dst int32, pdu []byte) error {
 }
 
 // SendMulti implements MultiSender on the raw network's batch path: all
-// deliveries of the fan-out are scheduled under one kernel lock.
+// deliveries of the fan-out are scheduled by one kernel ScheduleBatch call.
 func (u *UnreliableDatagram) SendMulti(src Addr, dsts []Addr, pdu []byte) error {
 	return u.net.SendMulti(src, dsts, pdu)
 }

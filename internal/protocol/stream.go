@@ -3,7 +3,6 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/sim"
@@ -25,7 +24,6 @@ import (
 type Stream struct {
 	lower LowerService
 
-	mu        sync.Mutex
 	receivers map[Addr]StreamReceiver
 	chunkSize int
 }
@@ -67,13 +65,9 @@ func (s *Stream) AttachStream(addr Addr, r StreamReceiver) error {
 	if r == nil {
 		return fmt.Errorf("protocol: nil stream receiver for %q", addr)
 	}
-	s.mu.Lock()
 	s.receivers[addr] = r
-	s.mu.Unlock()
 	return s.lower.Attach(addr, func(src Addr, chunk []byte) {
-		s.mu.Lock()
 		recv := s.receivers[addr]
-		s.mu.Unlock()
 		if recv != nil {
 			recv(src, chunk)
 		}
@@ -103,7 +97,6 @@ func (s *Stream) Write(src, dst Addr, data []byte) error {
 type Framing struct {
 	stream *Stream
 
-	mu        sync.Mutex
 	receivers map[Addr]Receiver
 	// buffers holds partial frames per (receiver, sender) pair.
 	buffers map[flowKey][]byte
@@ -135,9 +128,7 @@ func (f *Framing) Attach(addr Addr, r Receiver) error {
 	if r == nil {
 		return fmt.Errorf("protocol: nil receiver for %q", addr)
 	}
-	f.mu.Lock()
 	f.receivers[addr] = r
-	f.mu.Unlock()
 	return f.stream.AttachStream(addr, func(src Addr, segment []byte) {
 		f.onSegment(src, addr, segment)
 	})
@@ -164,7 +155,6 @@ func (f *Framing) Send(src, dst Addr, pdu []byte) error {
 // receiver returns (Receiver aliasing contract).
 func (f *Framing) onSegment(src, dst Addr, segment []byte) {
 	key := flowKey{src, dst}
-	f.mu.Lock()
 	buf := append(f.buffers[key], segment...)
 	var frames []*codec.Buffer
 	for {
@@ -188,7 +178,6 @@ func (f *Framing) onSegment(src, dst Addr, segment []byte) {
 	}
 	f.buffers[key] = buf
 	recv := f.receivers[dst]
-	f.mu.Unlock()
 	for _, frame := range frames {
 		if recv != nil {
 			recv(src, frame.B)

@@ -15,8 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"sync"        //repolint:allow sync -- worker pool: the one place scenarios run concurrently
+	"sync/atomic" //repolint:allow sync -- worker pool: the one place scenarios run concurrently
 	"time"
 )
 

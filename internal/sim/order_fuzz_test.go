@@ -120,11 +120,11 @@ func (r *refSched) run(deadline time.Duration) (int, error) {
 	}
 }
 
-// runUntil mirrors Kernel.RunUntil: like run, but the clock always
-// advances to the deadline afterwards — even when stopped early.
+// runUntil mirrors Kernel.RunUntil: like run, but the clock advances to
+// the deadline afterwards unless the run was stopped.
 func (r *refSched) runUntil(deadline time.Duration) (int, error) {
 	n, err := r.run(deadline)
-	if r.now < deadline {
+	if err == nil && r.now < deadline {
 		r.now = deadline
 	}
 	return n, err
@@ -144,14 +144,12 @@ func (r *refSched) livePending() int {
 // back-pointers of every queued timer.
 func checkHeapInvariant(t *testing.T, k *Kernel) {
 	t.Helper()
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for i, x := range k.queue.a {
 		if int(x.index) != i {
 			t.Fatalf("timer at heap slot %d has index %d", i, x.index)
 		}
-		if x.state.Load() != statePending {
-			t.Fatalf("timer at heap slot %d in state %d, want pending", i, x.state.Load())
+		if x.fn == nil {
+			t.Fatalf("timer at heap slot %d has no handler", i)
 		}
 		if i > 0 {
 			p := (i - 1) >> 2

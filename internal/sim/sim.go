@@ -7,10 +7,16 @@
 // events in the same order, which makes conformance traces reproducible and
 // experiments comparable.
 //
-// The kernel is intentionally single-threaded: events run one at a time, in
-// (time, sequence) order. Public entry points are safe for concurrent use,
-// but event handlers themselves always execute sequentially, and Run, RunUntil
-// and Step must not be called re-entrantly from inside a handler.
+// # Ownership
+//
+// A Kernel has a single owner: one goroutine creates it and makes every
+// call on it — and on every network, protocol entity, middleware platform,
+// service port and observer built on it. Nothing in the stack takes a
+// lock; a scenario is one single-threaded program. Concurrency lives in
+// the deployment: runner.Sweep's worker pool runs many scenarios at once,
+// each stack on its own goroutine, and stacks share no mutable state but
+// codec's buffer pool, which is a sync.Pool for that reason. Run,
+// RunUntil and Step must not be called re-entrantly from inside a handler.
 //
 // # Hot path
 //
@@ -18,12 +24,10 @@
 //
 //   - the pending queue is a concrete 4-ary min-heap ([timerHeap]) with no
 //     container/heap interface boxing;
-//   - every scheduled event recycles its timer struct through a free
-//     list, so steady-state scheduling does not allocate;
-//   - the run loop pops all events of one instant in a single critical
-//     section and executes them outside the lock, coordinating with
-//     concurrent Cancel through a per-timer atomic state word instead of
-//     re-locking per event.
+//   - every scheduled event recycles its timer struct through an
+//     intrusive free list, so steady-state scheduling does not allocate;
+//   - the run loop pops and fires one event at a time in (time,
+//     sequence) order, so Cancel and Stop act on plain heap state.
 //
 // Schedule returns a [TimerRef]: a cancellable handle that checks itself
 // against the timer's unique sequence number, so a stale handle never
@@ -33,8 +37,6 @@ package sim
 import (
 	"errors"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,16 +53,6 @@ func WithSeed(seed int64) Option {
 	return func(k *Kernel) { k.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// timer lifecycle states. Transitions into and out of statePending happen
-// under the kernel mutex; the stateRunnable→stateDone transition is a CAS
-// raced between the run loop (about to execute) and Cancel, which is what
-// keeps the batch execution path lock-free.
-const (
-	stateDone     int32 = iota // fired, cancelled, or on the free list
-	statePending               // in the heap
-	stateRunnable              // popped into the current run batch
-)
-
 // timer is one scheduled event. Timers live in the heap while pending and
 // go back to the kernel's free list once they fire or are cancelled.
 type timer struct {
@@ -70,7 +62,6 @@ type timer struct {
 	at     time.Duration
 	fn     func()
 	index  int32 // heap index; -1 while not in the heap
-	state  atomic.Int32
 }
 
 // TimerRef is a cancellable handle to a scheduled event, returned by
@@ -91,51 +82,25 @@ type TimerRef struct {
 // whether it was still pending. Cancelling a fired, already-cancelled or
 // recycled timer is a safe no-op returning false. An event at the
 // instant currently being executed can still be cancelled by an earlier
-// event of the same instant, exactly as if it were in the heap.
+// event of the same instant: it is still in the heap.
 func (r TimerRef) Cancel() bool {
+	if !r.Pending() {
+		return false
+	}
 	t := r.t
-	if t == nil {
-		return false
-	}
 	k := t.kernel
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if t.seq != r.seq {
-		return false // recycled into a later event: stale ref
-	}
-	switch t.state.Load() {
-	case statePending:
-		k.queue.remove(int(t.index))
-		t.state.Store(stateDone)
-		t.fn = nil
-		k.pending.Add(-1)
-		// The ref self-invalidates via the seq check, so a cancelled
-		// timer can go straight back to the free list — this is what
-		// keeps arm/cancel loops allocation-free.
-		k.recycleLocked(t)
-		return true
-	case stateRunnable:
-		// The timer sits in an executing batch; race the run loop for it.
-		if t.state.CompareAndSwap(stateRunnable, stateDone) {
-			t.fn = nil
-			k.pending.Add(-1)
-			return true
-		}
-		return false
-	default:
-		return false
-	}
+	k.queue.remove(int(t.index))
+	t.fn = nil
+	// The ref self-invalidates via the seq check, so a cancelled timer
+	// can go straight back to the free list — this is what keeps
+	// arm/cancel loops allocation-free.
+	k.recycle(t)
+	return true
 }
 
 // Pending reports whether the referenced event is still scheduled.
 func (r TimerRef) Pending() bool {
-	t := r.t
-	if t == nil {
-		return false
-	}
-	t.kernel.mu.Lock()
-	defer t.kernel.mu.Unlock()
-	return t.seq == r.seq && t.state.Load() != stateDone
+	return r.t != nil && r.t.seq == r.seq && r.t.index >= 0
 }
 
 // BatchEntry describes one fire-and-forget event for ScheduleBatch. A
@@ -146,23 +111,16 @@ type BatchEntry struct {
 }
 
 // Kernel is a deterministic discrete-event scheduler over virtual time.
-// Create one with NewKernel; the zero value is not usable.
+// Create one with NewKernel; the zero value is not usable. A Kernel and
+// everything built on it belong to one goroutine (see the package doc).
 type Kernel struct {
-	mu    sync.Mutex
-	now   time.Duration
-	seq   uint64
-	queue timerHeap
-	free  *timer   // recycled timers, linked through timer.next
-	batch []*timer // events of the instant being executed
-	rng   *rand.Rand
-
-	stopped  atomic.Bool
-	executed atomic.Uint64
-	// pending mirrors queue length + runnable batch entries so Pending
-	// can serve the stats path lock-free, like the executed counter. It
-	// is incremented on schedule and decremented exactly once per event
-	// on execution or successful cancellation.
-	pending atomic.Int64
+	now      time.Duration
+	seq      uint64
+	queue    timerHeap
+	free     *timer // recycled timers, linked through timer.next
+	rng      *rand.Rand
+	stopped  bool
+	executed uint64
 }
 
 // NewKernel returns a kernel at virtual time zero.
@@ -175,30 +133,19 @@ func NewKernel(opts ...Option) *Kernel {
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Duration {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.now
-}
+func (k *Kernel) Now() time.Duration { return k.now }
 
 // Executed returns the total number of events executed so far. It is used
 // by experiments as a platform-neutral proxy for computational work.
-func (k *Kernel) Executed() uint64 { return k.executed.Load() }
+func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending returns the number of scheduled, not yet executed events. It
-// reads a cached length maintained alongside the heap, so the stats
-// path never contends with the scheduling hot path for the kernel lock
-// (the same pattern as Executed).
-func (k *Kernel) Pending() int { return int(k.pending.Load()) }
+// Pending returns the number of scheduled, not yet executed events.
+func (k *Kernel) Pending() int { return k.queue.len() }
 
 // Rand returns the kernel's deterministic random source. It must only be
 // used from inside event handlers (or before the simulation starts) to keep
 // runs reproducible.
-func (k *Kernel) Rand() *rand.Rand {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.rng
-}
+func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Schedule arranges for fn to run after delay of virtual time. A negative
 // delay is treated as zero. Events scheduled for the same instant run in
@@ -211,36 +158,28 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) TimerRef {
 	if delay < 0 {
 		delay = 0
 	}
-	k.mu.Lock()
-	t := k.scheduleLocked(k.now+delay, fn)
-	ref := TimerRef{t: t, seq: t.seq}
-	k.mu.Unlock()
-	return ref
+	t := k.schedule(k.now+delay, fn)
+	return TimerRef{t: t, seq: t.seq}
 }
 
-// ScheduleBatch schedules every entry under a single lock acquisition, in
-// slice order (so same-instant entries fire FIFO in slice order). It
-// returns no handles. It is the entry point used by the simulated network
-// for link delivery and by the middleware platform for pub/sub fan-out.
+// ScheduleBatch schedules every entry in slice order (so same-instant
+// entries fire FIFO in slice order). It returns no handles. It is the
+// entry point used by the simulated network for link delivery and by the
+// middleware platform for pub/sub fan-out.
 //
 //repolint:hotpath
 func (k *Kernel) ScheduleBatch(entries []BatchEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	for i := range entries {
 		d := entries[i].Delay
 		if d < 0 {
 			d = 0
 		}
-		k.scheduleLocked(k.now+d, entries[i].Fn)
+		k.schedule(k.now+d, entries[i].Fn)
 	}
 }
 
 //repolint:hotpath
-func (k *Kernel) scheduleLocked(at time.Duration, fn func()) *timer {
+func (k *Kernel) schedule(at time.Duration, fn func()) *timer {
 	if fn == nil {
 		panic("sim: Schedule called with nil function")
 	}
@@ -255,39 +194,22 @@ func (k *Kernel) scheduleLocked(at time.Duration, fn func()) *timer {
 	t.seq = k.seq
 	t.at = at
 	t.fn = fn
-	t.state.Store(statePending)
-	k.pending.Add(1)
 	k.queue.push(t)
 	return t
 }
 
-// recycleLocked pushes a fired or cancelled timer onto the free list.
-// The list is intrusive, so recycling never allocates.
+// recycle pushes a fired or cancelled timer onto the free list. The list
+// is intrusive, so recycling never allocates.
 //
 //repolint:hotpath
-func (k *Kernel) recycleLocked(t *timer) {
+func (k *Kernel) recycle(t *timer) {
 	t.next = k.free
 	k.free = t
 }
 
-// recycleBatchLocked returns executed (or cancelled) timers of the
-// previous batch to the free list. Timers that were pushed back into
-// the heap by an aborted batch are statePending and skipped.
-//
-//repolint:hotpath
-func (k *Kernel) recycleBatchLocked() {
-	for i, t := range k.batch {
-		if t.state.Load() == stateDone {
-			k.recycleLocked(t)
-		}
-		k.batch[i] = nil
-	}
-	k.batch = k.batch[:0]
-}
-
 // Stop aborts any in-progress Run at the next event boundary. Pending
-// events remain queued.
-func (k *Kernel) Stop() { k.stopped.Store(true) }
+// events remain queued under their original (time, sequence) keys.
+func (k *Kernel) Stop() { k.stopped = true }
 
 // Step executes the single next event, if any, advancing virtual time to
 // the event's instant. It reports whether an event was executed. Like the
@@ -296,110 +218,66 @@ func (k *Kernel) Stop() { k.stopped.Store(true) }
 //
 //repolint:hotpath
 func (k *Kernel) Step() bool {
-	k.mu.Lock()
-	k.recycleBatchLocked()
-	if k.stopped.CompareAndSwap(true, false) {
-		k.mu.Unlock()
+	if k.stopped {
+		k.stopped = false
 		return false
 	}
 	if k.queue.len() == 0 {
-		k.mu.Unlock()
 		return false
 	}
-	t := k.queue.popMin()
-	t.state.Store(stateDone)
-	k.pending.Add(-1)
+	k.fire(k.queue.popMin())
+	return true
+}
+
+// fire executes a timer just popped from the heap. The timer goes back to
+// the free list before its handler runs, so a handler that schedules
+// reuses it.
+//
+//repolint:hotpath
+func (k *Kernel) fire(t *timer) {
 	k.now = t.at
-	k.executed.Add(1)
+	k.executed++
 	fn := t.fn
 	t.fn = nil
-	k.recycleLocked(t)
-	k.mu.Unlock()
+	k.recycle(t)
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty. It returns the number of
 // events executed. It returns ErrStopped if Stop was called.
 func (k *Kernel) Run() (int, error) {
-	return k.run(nil)
+	return k.run(1<<63 - 1)
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline (even if no event fired exactly there). Events
-// scheduled after the deadline stay queued.
+// scheduled after the deadline stay queued. A stopped run leaves the clock
+// at the last executed event, since events at or before the deadline may
+// still be queued.
 func (k *Kernel) RunUntil(deadline time.Duration) (int, error) {
-	n, err := k.run(func() bool {
-		return k.queue.min().at <= deadline
-	})
-	k.mu.Lock()
-	if k.now < deadline {
+	n, err := k.run(deadline)
+	if err == nil && k.now < deadline {
 		k.now = deadline
 	}
-	k.mu.Unlock()
 	return n, err
 }
 
-// run executes events while cond (evaluated under the lock, with a
-// non-empty queue, once per instant) holds; a nil cond means "always".
-//
-// Each loop iteration pops every event of the earliest instant into a
-// batch in one critical section and executes the batch outside the lock:
-// the mutex is taken per instant, not per event. Handlers scheduling new
-// work for the same instant are still ordered correctly — their sequence
-// numbers exceed those of the batch, so they join the next batch of the
-// same instant. Stop is checked between events (lock-free), and an
-// aborted batch pushes its unexecuted tail back into the heap with the
-// original (at, seq) keys, which restores the exact order.
-func (k *Kernel) run(cond func() bool) (int, error) {
+// run executes events with timestamps <= deadline one at a time, in
+// (time, sequence) order. A handler that schedules work for the current
+// instant gets a larger sequence number, so that work runs after every
+// event already queued for the instant. Stop is checked before each
+// event; the unexecuted events stay in the heap under their keys.
+func (k *Kernel) run(deadline time.Duration) (int, error) {
 	executed := 0
 	for {
-		k.mu.Lock()
-		k.recycleBatchLocked()
-		if k.stopped.CompareAndSwap(true, false) {
-			k.mu.Unlock()
+		if k.stopped {
+			k.stopped = false
 			return executed, ErrStopped
 		}
-		if k.queue.len() == 0 || (cond != nil && !cond()) {
-			k.mu.Unlock()
+		if k.queue.len() == 0 || k.queue.min().at > deadline {
 			return executed, nil
 		}
-		at := k.queue.min().at
-		k.now = at
-		for k.queue.len() > 0 && k.queue.min().at == at {
-			t := k.queue.popMin()
-			t.state.Store(stateRunnable)
-			k.batch = append(k.batch, t)
-		}
-		k.mu.Unlock()
-
-		for i, t := range k.batch {
-			if k.stopped.CompareAndSwap(true, false) {
-				k.abortBatchFrom(i)
-				return executed, ErrStopped
-			}
-			if !t.state.CompareAndSwap(stateRunnable, stateDone) {
-				continue // cancelled while in the batch
-			}
-			fn := t.fn
-			t.fn = nil
-			k.pending.Add(-1)
-			k.executed.Add(1)
-			fn()
-			executed++
-		}
+		k.fire(k.queue.popMin())
+		executed++
 	}
-}
-
-// abortBatchFrom pushes the unexecuted batch tail starting at index i back
-// into the heap and recycles the executed prefix.
-func (k *Kernel) abortBatchFrom(i int) {
-	k.mu.Lock()
-	for _, t := range k.batch[i:] {
-		if t.state.CompareAndSwap(stateRunnable, statePending) {
-			k.queue.push(t)
-		}
-	}
-	k.recycleBatchLocked()
-	k.mu.Unlock()
 }

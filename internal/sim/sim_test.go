@@ -196,6 +196,27 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopKeepsClock stops a RunUntil before its deadline while
+// an earlier event is still queued: the clock must stay at the stop, so
+// the next Run never moves virtual time backwards.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	k := NewKernel()
+	k.Schedule(time.Millisecond, k.Stop)
+	k.Schedule(2*time.Millisecond, func() {})
+	if n, err := k.RunUntil(10 * time.Millisecond); !errors.Is(err, ErrStopped) || n != 1 {
+		t.Fatalf("RunUntil = (%d, %v), want 1 event and ErrStopped", n, err)
+	}
+	if k.Now() != time.Millisecond {
+		t.Fatalf("Now = %v after stopped RunUntil, want 1ms", k.Now())
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if k.Now() != 2*time.Millisecond {
+		t.Fatalf("Now = %v after draining the 2ms event, want 2ms", k.Now())
+	}
+}
+
 func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	k := NewKernel()
 	if _, err := k.RunUntil(5 * time.Second); err != nil {
@@ -560,15 +581,15 @@ func TestScheduleFuncRefRecycles(t *testing.T) {
 	}
 }
 
-// TestScheduleFuncRefCancelInBatch cancels a same-instant event from an
-// earlier event of the same batch (the stateRunnable CAS path).
-func TestScheduleFuncRefCancelInBatch(t *testing.T) {
+// TestCancelSameInstant cancels an event from an earlier event of the
+// same instant: the later event is still in the heap and never fires.
+func TestCancelSameInstant(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var ref TimerRef
 	k.Schedule(time.Millisecond, func() {
 		if !ref.Cancel() {
-			t.Error("in-batch Cancel should report true")
+			t.Error("same-instant Cancel should report true")
 		}
 	})
 	ref = k.Schedule(time.Millisecond, func() { fired = true })
@@ -576,14 +597,13 @@ func TestScheduleFuncRefCancelInBatch(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if fired {
-		t.Fatal("ref cancelled within its own batch still fired")
+		t.Fatal("ref cancelled at its own instant still fired")
 	}
 }
 
-// TestStopMidInstant calls Stop from a handler in the middle of a
-// same-instant batch: Run returns ErrStopped, the unexecuted tail goes
-// back into the heap under its original keys, and the next Run replays
-// it in FIFO order.
+// TestStopMidInstant calls Stop from a handler between events of one
+// instant: Run returns ErrStopped, the unexecuted events stay in the heap
+// under their original keys, and the next Run fires them in FIFO order.
 func TestStopMidInstant(t *testing.T) {
 	k := NewKernel()
 	var got []int

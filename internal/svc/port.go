@@ -2,8 +2,6 @@ package svc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/middleware"
@@ -27,11 +25,8 @@ type Port[Req, Resp any] struct {
 	dec    func(codec.MsgView) (Resp, error)
 	cfg    portConfig
 
-	// Call-state pool: a single-slot atomic fast path (sequential calls
-	// never touch the mutex) over a mutex-guarded overflow list for
-	// concurrent outstanding calls.
-	slot atomic.Pointer[callState[Req, Resp]]
-	mu   sync.Mutex
+	// free is the call-state pool: an intrusive free list linked through
+	// callState.next.
 	free *callState[Req, Resp]
 }
 
@@ -39,14 +34,13 @@ type Port[Req, Resp any] struct {
 // deadline closures are built once per pooled object (they capture only
 // the state itself), so re-used states schedule nothing new.
 type callState[Req, Resp any] struct {
-	p        *Port[Req, Resp]
-	cont     func(Resp, error)
-	timer    sim.TimerRef // deadline timer; zero ref = no deadline armed
-	deadline bool         // a deadline was armed for this call
-	fired    bool         // continuation already delivered
+	p     *Port[Req, Resp]
+	cont  func(Resp, error)
+	timer sim.TimerRef // deadline timer; zero ref = no deadline armed
+	fired bool         // continuation already delivered
 
 	onReply    middleware.Continuation // = s.reply, built once
-	onDeadline func()                  // = s.deadline, built once
+	onDeadline func()                  // = s.expire, built once
 	next       *callState[Req, Resp]
 
 	// args is the request-encoding scratch buffer, reused by every call
@@ -100,42 +94,31 @@ func (p *Port[Req, Resp]) Target() middleware.ObjRef { return p.target }
 // Op returns the port's wire operation name.
 func (p *Port[Req, Resp]) Op() string { return p.op }
 
-// getState pops (or creates) a pooled call state: the single slot first,
-// the overflow list second, a fresh allocation last.
+// getState pops a pooled call state, or creates one when the pool is
+// empty.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) getState() *callState[Req, Resp] {
-	if s := p.slot.Swap(nil); s != nil {
-		return s
-	}
-	p.mu.Lock()
 	s := p.free
-	if s != nil {
-		p.free = s.next
-		s.next = nil
-	}
-	p.mu.Unlock()
 	if s == nil {
 		s = &callState[Req, Resp]{p: p}
 		s.onReply = s.reply
 		s.onDeadline = s.expire
+		return s
 	}
+	p.free = s.next
+	s.next = nil
 	return s
 }
 
 // putState recycles a call state whose platform continuation has
 // resolved (replied, timed out at the platform, or failed to send). The
-// caller must have reset cont/timer/deadline/fired already.
+// caller must have reset cont/timer/fired already.
 //
 //repolint:hotpath
 func (p *Port[Req, Resp]) putState(s *callState[Req, Resp]) {
-	if p.slot.CompareAndSwap(nil, s) {
-		return
-	}
-	p.mu.Lock()
 	s.next = p.free
 	p.free = s
-	p.mu.Unlock()
 }
 
 // Call performs the request/response interaction from the given node.
@@ -165,7 +148,6 @@ func (p *Port[Req, Resp]) Call(from middleware.Addr, req Req, cont func(Resp, er
 	}
 	s.cont = cont
 	if p.cfg.deadline > 0 {
-		s.deadline = true
 		s.timer = p.b.kernel.Schedule(p.cfg.deadline, s.onDeadline)
 	}
 	if err := p.b.plat.Invoke(from, p.target, p.op, args, s.onReply); err != nil {
@@ -182,34 +164,20 @@ func (s *callState[Req, Resp]) reset() {
 	var zero func(Resp, error)
 	s.cont = zero
 	s.timer = sim.TimerRef{}
-	s.deadline = false
 	s.fired = false
 }
 
 // reply is the platform continuation: it resolves the call unless the
 // deadline already did, and recycles the state — the platform holds no
-// reference past this point. Without an armed deadline (the common
-// case), reply is the call's only resolver and runs lock-free: the
-// happens-before chain to Call's field writes goes through the
-// platform's own mutex. With a deadline, the port mutex arbitrates
-// against the expiry event. Either way, the state returns to the pool
-// before the continuation runs (on local copies), so a reentrant Call
-// from inside cont may reuse it safely.
+// reference past this point. The state returns to the pool before the
+// continuation runs (on local copies), so a reentrant Call from inside
+// cont may reuse it safely.
 func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 	p := s.p
-	var late bool
-	var cont func(Resp, error)
-	if !s.deadline {
-		cont = s.cont
-		s.reset()
-	} else {
-		p.mu.Lock()
-		late = s.fired
-		cont = s.cont
-		s.timer.Cancel()
-		s.reset()
-		p.mu.Unlock()
-	}
+	late := s.fired
+	cont := s.cont
+	s.timer.Cancel() // zero ref when no deadline was armed: a no-op
+	s.reset()
 	p.putState(s)
 	if !late && cont != nil {
 		var resp Resp
@@ -229,16 +197,13 @@ func (s *callState[Req, Resp]) reply(result codec.MsgView, err error) {
 // backstop on lossy transports; its firing reclaims both.
 func (s *callState[Req, Resp]) expire() {
 	p := s.p
-	p.mu.Lock()
 	if s.fired {
-		p.mu.Unlock()
 		return
 	}
 	s.fired = true
 	cont := s.cont
 	var zero func(Resp, error)
 	s.cont = zero
-	p.mu.Unlock()
 	if cont != nil {
 		var resp Resp
 		cont(resp, &classed{class: ErrTimeout, cause: fmt.Errorf("port %s.%s: no reply within %v", p.target, p.op, p.cfg.deadline)})
@@ -312,12 +277,10 @@ func (b *Binding) NewExport(ref middleware.ObjRef, node middleware.Addr, opts ..
 // respondPool recycles one operation's respond continuations: the cell's
 // typed closure is built once per pooled object, so a steady-state
 // dispatch hands the handler a respond function without allocating. Like
-// the port's call-state pool, a single-slot atomic serves sequential
-// dispatches; concurrent ones fall back to the mutex-guarded list.
+// the port's call-state pool, it is an intrusive free list linked through
+// respondCell.next.
 type respondPool[Resp any] struct {
 	enc  func([]byte, Resp) ([]byte, error)
-	slot atomic.Pointer[respondCell[Resp]]
-	mu   sync.Mutex
 	free *respondCell[Resp]
 }
 
@@ -358,28 +321,17 @@ func (c *respondCell[Resp]) respond(resp Resp, err error) {
 
 // put returns a disarmed cell to the pool.
 func (p *respondPool[Resp]) put(c *respondCell[Resp]) {
-	if p.slot.CompareAndSwap(nil, c) {
-		return
-	}
-	p.mu.Lock()
 	c.next = p.free
 	p.free = c
-	p.mu.Unlock()
 }
 
 // get pops (or creates) a cell bound to one dispatch's reply.
 func (p *respondPool[Resp]) get(reply middleware.Reply) *respondCell[Resp] {
-	c := p.slot.Swap(nil)
-	if c == nil {
-		p.mu.Lock()
-		c = p.free
-		if c != nil {
-			p.free = c.next
-			c.next = nil
-		}
-		p.mu.Unlock()
-	}
-	if c == nil {
+	c := p.free
+	if c != nil {
+		p.free = c.next
+		c.next = nil
+	} else {
 		c = &respondCell[Resp]{pool: p}
 		c.fn = c.respond
 	}

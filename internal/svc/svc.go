@@ -30,7 +30,6 @@ package svc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -119,7 +118,6 @@ type Service struct {
 	spec    *core.ServiceSpec
 	schemas map[string]*codec.Schema // primitive name → compiled param record layout
 
-	mu    sync.Mutex
 	bound bool
 }
 
@@ -175,8 +173,6 @@ func (s *Service) Bind(p *middleware.Platform, patterns ...middleware.Pattern) (
 			}
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.bound {
 		return nil, &classed{class: ErrAlreadyBound, cause: fmt.Errorf("service %q", s.spec.Name)}
 	}
